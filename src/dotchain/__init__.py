@@ -44,6 +44,7 @@ from .state import (
     MAX_QUBITS,
     ChainState,
     apply_ising_phases,
+    cluster_stabilizers,
     ideal_cluster,
     ideal_cluster_fidelity,
     init_plus_chain,
@@ -73,6 +74,7 @@ __all__ = [
     "apply_ising_phases",
     "bond_phase_vector",
     "check_adiabaticity",
+    "cluster_stabilizers",
     "coulomb_background",
     "coulomb_double_occupancy",
     "exact_mean_fidelity",

@@ -107,7 +107,21 @@ def test_prepare_defaults(tmp_path):
 def test_prepare_single_qubit(tmp_path):
     report = run_prepare(cfg_with(n_qubits=1), tmp_path)
     assert report.fidelity_to_ideal == pytest.approx(1.0, abs=1e-12)
+    assert report.stabilizers == pytest.approx((1.0,), abs=1e-12)
     assert report.passed
+
+
+def test_prepare_builds_no_dense_state(tmp_path, monkeypatch):
+    # verification works from the bond phases alone: no 2^n vector at any n
+    from dotchain.state import ChainState
+
+    def refuse(self):
+        raise AssertionError("run_prepare built a dense ChainState")
+
+    monkeypatch.setattr(ChainState, "__post_init__", refuse)
+    report = run_prepare(cfg_with(n_qubits=24), tmp_path)
+    assert report.passed
+    assert len(report.stabilizers) == 24
 
 
 def test_prepare_half_phase(tmp_path, dev):
@@ -207,6 +221,15 @@ def test_cli_prepare_exit_codes(tmp_path, dev):
         main, ["prepare", "--config", str(half_cfg), "--out", str(tmp_path / "half")]
     )
     assert failed.exit_code == 2
+
+
+def test_cli_prepare_at_qubit_cap(tmp_path):
+    out = tmp_path / "cap"
+    result = CliRunner().invoke(main, ["prepare", "--qubits", "24", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    header, rows = read_csv(out / "stabilizers.csv")
+    assert header == ["site", "expectation"]
+    assert [int(r[0]) for r in rows] == list(range(24))
 
 
 def test_cli_overrides(tmp_path):

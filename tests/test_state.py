@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from dotchain import (
     ChainState,
     apply_ising_phases,
+    cluster_stabilizers,
     ideal_cluster,
     ideal_cluster_fidelity,
     init_plus_chain,
@@ -125,22 +128,43 @@ def test_stabilizer_site_range():
 def test_stabilizer_under_bond_error():
     # a phase error delta on one bond pulls the two adjacent stabilizers
     # down to (1 + cos(delta))/2 and leaves every other site at exactly +1
+    # (the dense engine and the closed form in the bond phases alike)
     delta = 0.1
     state = apply_ising_phases(init_plus_chain(2), [math.pi + delta])
     expected = (1 + math.cos(delta)) / 2
+    closed2 = cluster_stabilizers([math.pi + delta])
     for site in (0, 1):
         assert stabilizer_expectation(state, site) == pytest.approx(expected, abs=1e-12)
+        assert closed2[site] == pytest.approx(expected, abs=1e-12)
 
     phases = np.full(5, math.pi)
     phases[2] += delta
     state6 = apply_ising_phases(init_plus_chain(6), phases)
+    closed6 = cluster_stabilizers(phases)
     for site in range(6):
-        value = stabilizer_expectation(state6, site)
-        if site in (2, 3):
-            assert value == pytest.approx(expected, abs=1e-10)
-            assert value < 1.0
-        else:
-            assert value == pytest.approx(1.0, abs=1e-10)
+        for value in (stabilizer_expectation(state6, site), closed6[site]):
+            if site in (2, 3):
+                assert value == pytest.approx(expected, abs=1e-10)
+                assert value < 1.0
+            else:
+                assert value == pytest.approx(1.0, abs=1e-10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    phases=st.integers(min_value=2, max_value=12).flatmap(
+        lambda n: st.lists(
+            st.floats(min_value=-4 * math.pi, max_value=4 * math.pi), min_size=n - 1, max_size=n - 1
+        )
+    )
+)
+def test_closed_form_stabilizers_match_dense(phases):
+    n = len(phases) + 1
+    state = apply_ising_phases(init_plus_chain(n), phases)
+    closed = cluster_stabilizers(phases)
+    assert closed.shape == (n,)
+    for site in range(n):
+        assert closed[site] == pytest.approx(stabilizer_expectation(state, site), abs=1e-12)
 
 
 def test_stabilizer_matches_kron_oracle():
