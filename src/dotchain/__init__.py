@@ -1,7 +1,7 @@
 """Simulation of one-step cluster-state preparation in a chain of
 singlet/triplet double-quantum-dot qubits."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .constants import COULOMB_EV_NM, GAAS_RELATIVE_PERMITTIVITY, HBAR_EV_S, HBAR_MEV_NS
 from .measurement import (
@@ -18,7 +18,9 @@ from .noise import (
     PhaseNoiseModel,
     exact_mean_fidelity,
     monte_carlo_fidelity,
+    sample_bond_error_batch,
     sample_bond_errors,
+    trial_fidelities,
 )
 from .physics import (
     DeviceParams,
@@ -39,7 +41,7 @@ from .pulse import (
     solve_hold_time,
     symmetric_pulse,
 )
-from .rng import RNG_ALGORITHM, stream_rng
+from .rng import RNG_ALGORITHM
 from .state import (
     MAX_QUBITS,
     ChainState,
@@ -88,13 +90,14 @@ __all__ = [
     "plateau_coupling",
     "project",
     "run_schedule",
+    "sample_bond_error_batch",
     "sample_bond_errors",
     "schedule_rounds",
     "singlet_admixture",
     "solve_hold_time",
     "state_fidelity",
     "stabilizer_expectation",
-    "stream_rng",
     "symmetric_pulse",
+    "trial_fidelities",
     "write_state_csv",
 ]

@@ -4,7 +4,9 @@ Every physical quantity carries its unit in the key name (tau1_ns,
 tunnel_coupling_mev, ...). Unknown keys are rejected, every module
 precondition is checked up front, and the canonical serialization
 round-trips exactly so a run manifest can reproduce a run bit for bit.
-A config file may also be a run manifest (JSON with a config_text field).
+A config file may also be a run manifest (JSON with a config_text field);
+one written under a different RNG algorithm or package version is refused,
+since it would not reproduce its run.
 """
 
 from __future__ import annotations
@@ -13,9 +15,11 @@ import json
 import math
 from dataclasses import dataclass
 
+from . import __version__
 from .measurement import NAMED_AXES
 from .physics import DeviceParams
 from .pulse import DetuningPulse, check_adiabaticity, solve_hold_time
+from .rng import RNG_ALGORITHM, SEED_BOUND
 from .state import MAX_QUBITS
 
 # Canonical defaults, as strings; the reference device and pulse.
@@ -150,13 +154,23 @@ def parse_kv_text(text: str) -> dict[str, str]:
 
 
 def load_config_file(path) -> dict[str, str]:
-    """Raw key/value strings from a config file or a run manifest."""
+    """Raw key/value strings from a config file or a run manifest.
+
+    A manifest whose rng_algorithm or artifact_version differs from the
+    running code is refused with ConfigError; fields it omits are not checked.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
         manifest = json.loads(text)
         if "config_text" not in manifest:
             raise ConfigError(f"{path}: JSON file is not a run manifest (no config_text)")
+        for key, current in (("rng_algorithm", RNG_ALGORITHM), ("artifact_version", __version__)):
+            if key in manifest and manifest[key] != current:
+                raise ConfigError(
+                    f"{path}: manifest {key} {manifest[key]!r} differs from this "
+                    f"dotchain's {current!r}; replaying it would not reproduce its run"
+                )
         return parse_kv_text(manifest["config_text"])
     return parse_kv_text(text)
 
@@ -215,8 +229,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"n_qubits must lie in [1, {MAX_QUBITS}]")
     if cfg.trials < 100:
         raise ConfigError("trials must be >= 100")
-    if cfg.seed < 0:
-        raise ConfigError("seed must be >= 0")
+    if not 0 <= cfg.seed < SEED_BOUND:
+        raise ConfigError("seed must lie in [0, 2**64)")
     if any(s < 0 for s in cfg.sigma_over_pi):
         raise ConfigError("sigma_over_pi entries must be >= 0")
     if cfg.measure_axis not in NAMED_AXES:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import stream_rng
+from .rng import MEASUREMENT, uniforms
 from .state import NORM_ATOL, ChainState
 
 X_AXIS = (1.0, 0.0, 0.0)
@@ -102,6 +102,26 @@ def _apply_on_qubit(amps: np.ndarray, mat: np.ndarray, qubit: int, n: int) -> np
     return np.moveaxis(psi, -1, qubit).reshape(-1)
 
 
+def _branch(state: ChainState, spec: MeasurementSpec, outcome: int) -> np.ndarray:
+    """Unnormalized projected amplitudes P_outcome psi of a validated state."""
+    n = state.n_qubits
+    if spec.qubit >= n:
+        raise ValueError(f"qubit {spec.qubit} out of range for {n} qubits")
+    if abs(state.norm() - 1.0) > NORM_ATOL:
+        raise ValueError("state is not normalized")
+    mat = _measurement_matrix(spec.basis)
+    projector = (np.eye(2) + outcome * mat) / 2.0
+    return _apply_on_qubit(state.amplitudes, projector, spec.qubit, n)
+
+
+def _probability(branch: np.ndarray) -> float:
+    return min(max(float(np.vdot(branch, branch).real), 0.0), 1.0)
+
+
+def _collapse(n: int, branch: np.ndarray, prob: float) -> ChainState | None:
+    return ChainState(n, branch / math.sqrt(prob)) if prob > 0.0 else None
+
+
 def project(
     state: ChainState, spec: MeasurementSpec, outcome: int
 ) -> tuple[float, ChainState | None]:
@@ -112,31 +132,29 @@ def project(
     """
     if outcome not in (-1, +1):
         raise ValueError(f"outcome must be +-1, got {outcome}")
-    n = state.n_qubits
-    if spec.qubit >= n:
-        raise ValueError(f"qubit {spec.qubit} out of range for {n} qubits")
-    if abs(state.norm() - 1.0) > NORM_ATOL:
-        raise ValueError("state is not normalized")
-    mat = _measurement_matrix(spec.basis)
-    projector = (np.eye(2) + outcome * mat) / 2.0
-    branch = _apply_on_qubit(state.amplitudes, projector, spec.qubit, n)
-    prob = float(np.vdot(branch, branch).real)
-    prob = min(max(prob, 0.0), 1.0)
-    if prob <= 0.0:
-        return 0.0, None
-    return prob, ChainState(n, branch / math.sqrt(prob))
+    branch = _branch(state, spec, outcome)
+    prob = _probability(branch)
+    return prob, _collapse(state.n_qubits, branch, prob)
 
 
 def measure(
     state: ChainState, spec: MeasurementSpec, seed: int, stream: int = 0
 ) -> MeasurementRecord:
-    """Sample one projective measurement; deterministic per (seed, stream)."""
-    p_plus, post_plus = project(state, spec, +1)
-    u = stream_rng(seed, stream).random()
-    if u < p_plus:
-        return MeasurementRecord(spec.qubit, +1, p_plus, post_plus)
-    p_minus, post_minus = project(state, spec, -1)
-    return MeasurementRecord(spec.qubit, -1, p_minus, post_minus)
+    """Sample one projective measurement; deterministic per (seed, stream).
+
+    The uniform is stream `stream` of the seed's measurement domain. One
+    projection serves both outcomes: the -1 branch is psi - P+ psi, and its
+    probability comes from its own norm, not from 1 - p+, which cancels when
+    p+ is close to 1. Only the sampled branch is normalized.
+    """
+    plus = _branch(state, spec, +1)
+    p_plus = _probability(plus)
+    if uniforms(seed, MEASUREMENT, stream, 1)[0, 0] < p_plus:
+        outcome, branch, prob = +1, plus, p_plus
+    else:
+        branch = state.amplitudes - plus
+        outcome, prob = -1, _probability(branch)
+    return MeasurementRecord(spec.qubit, outcome, prob, _collapse(state.n_qubits, branch, prob))
 
 
 def schedule_rounds(requested) -> RoundSchedule:

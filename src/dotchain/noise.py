@@ -8,7 +8,12 @@ phase error in radians.
 Two estimators of the mean fidelity, kept deliberately independent:
 
 - monte_carlo_fidelity samples bond errors per trial and averages the
-  resulting fidelity to the ideal cluster;
+  resulting fidelity to the ideal cluster. Trial t is stream t of the
+  noise domain of the counter-based Philox layout in rng: its bond errors
+  are the first n - 1 Box-Muller normals of counter blocks
+  t*w + 1 ... (t + 1)*w, w = ceil((n - 1) / 4), of key seed. A chunk of
+  consecutive trials is therefore one vectorised draw, and each trial's
+  value is independent of the trial count and of the chunking;
 - exact_mean_fidelity integrates the Gaussian analytically. The average of
   exp(i delta (u - u')) over delta is exp(-sigma^2/2) whenever the bond
   occupations u, u' of a basis-state pair differ, so
@@ -24,8 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import stream_rng
+from .rng import NOISE, normals
 from .state import MAX_QUBITS, ideal_cluster_fidelity
+
+# Monte Carlo trials drawn and contracted together. Bounds the phase buffer
+# at TRIAL_CHUNK x bonds whatever the trial count; at 256 every per-chunk
+# array stays under 50 KB, so peak memory does not grow with the chunk.
+TRIAL_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -55,6 +65,19 @@ class FidelityEstimate:
             raise ValueError("n_trials must be >= 1")
 
 
+def sample_bond_error_batch(
+    model: PhaseNoiseModel, n_bonds: int, seed: int, first_stream: int, n_streams: int
+) -> np.ndarray:
+    """Noisy bond phases of consecutive streams, one row per stream.
+
+    Row t is exactly sample_bond_errors(model, n_bonds, seed, first_stream + t);
+    the whole batch is one vectorised Philox draw.
+    """
+    if n_bonds < 1:
+        raise ValueError(f"n_bonds must be >= 1, got {n_bonds}")
+    return np.pi + model.sigma_rad * normals(seed, NOISE, first_stream, n_streams, n_bonds)
+
+
 def sample_bond_errors(
     model: PhaseNoiseModel, n_bonds: int, seed: int, stream: int = 0
 ) -> np.ndarray:
@@ -63,10 +86,28 @@ def sample_bond_errors(
     Deterministic per (seed, stream); Monte Carlo trial t draws from
     stream t of the run's base seed.
     """
-    if n_bonds < 1:
-        raise ValueError(f"n_bonds must be >= 1, got {n_bonds}")
-    rng = stream_rng(seed, stream)
-    return np.pi + rng.normal(0.0, model.sigma_rad, n_bonds)
+    return sample_bond_error_batch(model, n_bonds, seed, stream, 1)[0]
+
+
+def trial_fidelities(
+    n_qubits: int, model: PhaseNoiseModel, trials: int, seed: int
+) -> np.ndarray:
+    """Fidelity to the ideal cluster of each Monte Carlo trial.
+
+    Trials are drawn and contracted TRIAL_CHUNK at a time, so the
+    trials x bonds phase buffer is never built whole. Entry t depends only
+    on (n_qubits, model, seed, t), not on the trial count or the chunking.
+    """
+    if not 2 <= n_qubits <= MAX_QUBITS:
+        raise ValueError(f"n_qubits must lie in [2, {MAX_QUBITS}], got {n_qubits}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    fidelities = np.empty(trials)
+    for start in range(0, trials, TRIAL_CHUNK):
+        count = min(TRIAL_CHUNK, trials - start)
+        phases = sample_bond_error_batch(model, n_qubits - 1, seed, start, count)
+        fidelities[start : start + count] = ideal_cluster_fidelity(phases)
+    return fidelities
 
 
 def monte_carlo_fidelity(
@@ -79,15 +120,9 @@ def monte_carlo_fidelity(
     exactly; at n = 20 and 1e5 trials the dense route would take the better
     part of an hour. Bit-identical for identical (n, model, trials, seed).
     """
-    if not 2 <= n_qubits <= MAX_QUBITS:
-        raise ValueError(f"n_qubits must lie in [2, {MAX_QUBITS}], got {n_qubits}")
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
-    n_bonds = n_qubits - 1
-    phases = np.empty((trials, n_bonds))
-    for t in range(trials):
-        phases[t] = sample_bond_errors(model, n_bonds, seed, stream=t)
-    fidelities = ideal_cluster_fidelity(phases)
+    fidelities = trial_fidelities(n_qubits, model, trials, seed)
     mean = float(np.mean(fidelities))
     stderr = float(np.std(fidelities, ddof=1) / math.sqrt(trials))
     # Guard against rounding just past 1 in the sigma = 0 case.

@@ -1,21 +1,106 @@
-"""Seed handling for reproducible stochastic runs.
+"""Counter-based random streams for reproducible stochastic runs.
 
-Every stochastic routine takes an explicit (base_seed, stream) pair; streams
-split off the base seed through numpy's SeedSequence spawn mechanism so that
-trial t of a run is independent of the trial count and of evaluation order.
-The algorithm identifier below is recorded in run manifests.
+Every stochastic routine takes an explicit (base_seed, stream) pair. Draws
+come from the Philox4x64-10 counter-based generator (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11) through numpy's
+built-in Philox:
+
+- the 128-bit key is base_seed + domain * 2**64, so 0 <= base_seed < 2**64;
+  the domain keeps Monte Carlo noise (NOISE) and measurement outcomes
+  (MEASUREMENT) apart;
+- stream s of width w blocks reads counter blocks s*w + 1 ... (s + 1)*w, four
+  64-bit words per block;
+- a word becomes the uniform ((word >> 12) + 0.5) * 2**-52, which is exact
+  and lies strictly inside (0, 1);
+- normals come from Box-Muller on consecutive word pairs, two per pair, so a
+  stream of k normals has width ceil(k / 4) blocks.
+
+Every stream consumes a fixed number of words, so stream s depends only on
+(base_seed, domain, s): Monte Carlo trial t is the same whether it is drawn
+alone or in a batch, and a batch of consecutive streams is one vectorised
+draw. The algorithm identifier below is recorded in run manifests.
 """
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
-RNG_ALGORITHM = "numpy.random.PCG64 seeded by SeedSequence(entropy=base_seed, spawn_key=(stream,))"
+NOISE = 0
+MEASUREMENT = 1
+WORDS_PER_BLOCK = 4
+
+RNG_ALGORITHM = (
+    "numpy.random.Philox 4x64-10, key = base_seed + domain*2**64 (noise 0, measurement 1); "
+    "stream s of w blocks reads counter blocks s*w+1..(s+1)*w; "
+    "uniform ((word >> 12) + 0.5) * 2**-52; normals by Box-Muller on word pairs"
+)
+
+_WORD = 2**64
+# Seeds fill the low 64-bit word of the key, so they lie in [0, SEED_BOUND).
+SEED_BOUND = _WORD
+# One generator, built on the first draw (not at import) and re-keyed for
+# every draw: setting its state is four times cheaper than constructing a
+# generator, which would seed (and discard) a SeedSequence each time.
+_PHILOX: np.random.Philox | None = None
+_PHILOX_LOCK = threading.Lock()
 
 
-def stream_rng(base_seed: int, stream: int = 0) -> np.random.Generator:
-    """Generator for the given stream of a base seed; deterministic and stable."""
-    if base_seed < 0 or stream < 0:
-        raise ValueError("base_seed and stream must be non-negative integers")
-    seq = np.random.SeedSequence(base_seed, spawn_key=(stream,))
-    return np.random.Generator(np.random.PCG64(seq))
+def raw_words(
+    base_seed: int, domain: int, first_stream: int, n_streams: int, width: int
+) -> np.ndarray:
+    """Raw words of streams first_stream .. first_stream + n_streams - 1.
+
+    One row per stream, 4 * width uint64 words each; row t equals the same
+    call with first_stream + t and n_streams = 1.
+    """
+    if not 0 <= base_seed < SEED_BOUND:
+        raise ValueError(f"base_seed must lie in [0, 2**64), got {base_seed}")
+    if domain not in (NOISE, MEASUREMENT):
+        raise ValueError(f"unknown stream domain {domain}")
+    if first_stream < 0 or n_streams < 1 or width < 1:
+        raise ValueError("need first_stream >= 0, n_streams >= 1 and width >= 1")
+    if first_stream + n_streams > _WORD:
+        raise ValueError("streams must lie in [0, 2**64)")
+    counter = first_stream * width
+    state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.array([(counter >> (64 * i)) % _WORD for i in range(4)], dtype=np.uint64),
+            "key": np.array([base_seed, domain], dtype=np.uint64),
+        },
+        "buffer": np.zeros(WORDS_PER_BLOCK, dtype=np.uint64),
+        "buffer_pos": WORDS_PER_BLOCK,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    global _PHILOX
+    with _PHILOX_LOCK:
+        if _PHILOX is None:
+            _PHILOX = np.random.Philox(0)
+        _PHILOX.state = state
+        words = _PHILOX.random_raw(n_streams * width * WORDS_PER_BLOCK)
+    return words.reshape(n_streams, width * WORDS_PER_BLOCK)
+
+
+def uniforms(
+    base_seed: int, domain: int, first_stream: int, n_streams: int, width: int = 1
+) -> np.ndarray:
+    """Uniforms in (0, 1), 4 * width per stream, one row per stream."""
+    words = raw_words(base_seed, domain, first_stream, n_streams, width)
+    return ((words >> 12) + 0.5) * 2.0**-52
+
+
+def normals(
+    base_seed: int, domain: int, first_stream: int, n_streams: int, per_stream: int
+) -> np.ndarray:
+    """Standard normals, shape (n_streams, per_stream), one row per stream."""
+    if per_stream < 1:
+        raise ValueError(f"per_stream must be >= 1, got {per_stream}")
+    width = -(-per_stream // WORDS_PER_BLOCK)
+    u = uniforms(base_seed, domain, first_stream, n_streams, width)
+    radius = np.sqrt(-2.0 * np.log(u[:, 0::2]))
+    angle = 2.0 * np.pi * u[:, 1::2]
+    z = np.stack((radius * np.cos(angle), radius * np.sin(angle)), axis=-1)
+    return z.reshape(n_streams, -1)[:, :per_stream]

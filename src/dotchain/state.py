@@ -116,7 +116,8 @@ def stabilizer_expectation(state: ChainState, site: int) -> float:
             phi[tuple(sel)] *= -1.0
     phi = np.flip(phi, axis=site)  # X on the site
     value = np.vdot(state.amplitudes, phi.reshape(-1))
-    return float(value.real)
+    # Rounding in the 2^(-n/2) amplitudes can overshoot a Pauli expectation.
+    return min(max(float(value.real), -1.0), 1.0)
 
 
 def state_fidelity(a: ChainState, b: ChainState) -> float:

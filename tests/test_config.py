@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from dotchain import RNG_ALGORITHM, __version__
 from dotchain.config import (
     ConfigError,
     DEFAULTS,
@@ -113,6 +114,32 @@ def test_load_rejects_foreign_json(tmp_path):
     path = tmp_path / "other.json"
     path.write_text(json.dumps({"seed": 3}))
     with pytest.raises(ConfigError):
+        load_config_file(path)
+
+
+def test_seed_range():
+    # the seed fills the low 64 bits of the Philox key
+    assert config_from_strings({"seed": str(2**64 - 1)}).seed == 2**64 - 1
+    with pytest.raises(ConfigError):
+        config_from_strings({"seed": str(2**64)})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("rng_algorithm", "numpy.random.PCG64 seeded by SeedSequence"), ("artifact_version", "0.1.0")],
+)
+def test_load_rejects_mismatched_manifest(tmp_path, field, value):
+    path = tmp_path / "run_manifest.json"
+    manifest = {
+        "rng_algorithm": RNG_ALGORITHM,
+        "artifact_version": __version__,
+        "config_text": canonical_text(config_from_strings({})),
+    }
+    path.write_text(json.dumps(manifest))
+    assert config_from_strings(load_config_file(path)) == config_from_strings({})
+    manifest[field] = value
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ConfigError, match=field):
         load_config_file(path)
 
 

@@ -186,7 +186,7 @@ def test_manifest_contents(tmp_path):
     manifest = json.loads(paths["manifest"].read_text())
     assert manifest["command"] == "figure2"
     assert manifest["artifact"] == "dotchain"
-    assert "PCG64" in manifest["rng_algorithm"]
+    assert "Philox" in manifest["rng_algorithm"]
     assert manifest["constants"]["coulomb_ev_nm"] == 1.43996
     assert "seed = 9" in manifest["config_text"]
 
@@ -282,6 +282,25 @@ def test_cli_reports_unreachable_calibration(tmp_path):
     result = runner.invoke(main, ["prepare", "--config", str(cfg), "--out", str(out)])
     assert result.exit_code == 1
     assert "unreachable" in result.output
+    assert not out.exists()
+
+
+def test_cli_refuses_manifest_from_other_rng(tmp_path):
+    # a manifest written under the old per-trial PCG64 streams would replay
+    # into different CSVs, so it is a validation failure
+    runner = CliRunner()
+    first = runner.invoke(main, ["figure3", "--trials", "150", "--out", str(tmp_path / "first")])
+    assert first.exit_code == 0, first.output
+    manifest = json.loads((tmp_path / "first" / "run_manifest.json").read_text())
+    manifest["rng_algorithm"] = (
+        "numpy.random.PCG64 seeded by SeedSequence(entropy=base_seed, spawn_key=(stream,))"
+    )
+    old = tmp_path / "old_manifest.json"
+    old.write_text(json.dumps(manifest))
+    out = tmp_path / "replay"
+    result = runner.invoke(main, ["figure3", "--config", str(old), "--out", str(out)])
+    assert result.exit_code == 1
+    assert "rng_algorithm" in result.output
     assert not out.exists()
 
 

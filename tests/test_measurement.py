@@ -18,6 +18,7 @@ from dotchain import (
     schedule_rounds,
 )
 from dotchain.measurement import NAMED_AXES, X_AXIS, Z_AXIS
+from dotchain.rng import MEASUREMENT, uniforms
 
 from conftest import random_state
 
@@ -114,6 +115,20 @@ def test_remeasurement_idempotent():
         assert p_same == pytest.approx(1.0, abs=1e-10)
         repeat = measure(record.post_state, spec, seed=999)
         assert repeat.outcome == record.outcome
+
+
+def test_unlikely_minus_outcome_keeps_precision():
+    # p- comes from the norm of psi - P+ psi, not from 1 - p+, so it stays
+    # accurate to the last digits when p+ is within 1e-6 of 1
+    u = uniforms(0, MEASUREMENT, 0, 10**6)[:, 0]
+    stream = int(np.argmax(u))
+    p_minus = 2.0 * (1.0 - u[stream])
+    angle = math.asin(math.sqrt(p_minus))
+    state = ket(math.sin(angle), math.cos(angle))
+    record = measure(state, MeasurementSpec(0, Z_AXIS), seed=0, stream=stream)
+    assert record.outcome == -1
+    assert record.probability == pytest.approx(math.sin(angle) ** 2, rel=1e-13)
+    assert np.allclose(record.post_state.amplitudes, [1, 0], atol=1e-12)
 
 
 def test_middle_qubit_z_deletion():

@@ -10,10 +10,14 @@ from dotchain import (
     exact_mean_fidelity,
     ideal_cluster,
     init_plus_chain,
+    ideal_cluster_fidelity,
     monte_carlo_fidelity,
+    sample_bond_error_batch,
     sample_bond_errors,
     state_fidelity,
+    trial_fidelities,
 )
+from dotchain.noise import TRIAL_CHUNK
 
 from oracles import brute_mean_fidelity
 
@@ -51,6 +55,34 @@ def test_sample_determinism():
     assert not np.array_equal(a, c)
     d = sample_bond_errors(model, 7, seed=12, stream=4)
     assert not np.array_equal(a, d)
+
+
+def test_batch_rows_equal_single_streams():
+    # a batch spanning two chunk boundaries, started off a chunk boundary
+    model = PhaseNoiseModel(SIGMA)
+    first, count = TRIAL_CHUNK - 3, TRIAL_CHUNK + 10
+    batch = sample_bond_error_batch(model, 6, seed=19, first_stream=first, n_streams=count)
+    assert batch.shape == (count, 6)
+    for t in range(count):
+        assert np.array_equal(batch[t], sample_bond_errors(model, 6, seed=19, stream=first + t))
+
+
+def test_trial_fidelities_follow_streams():
+    # every chunked trial is its own stream's draw, contracted as a one-row
+    # batch (a lone 1-d vector goes through numpy's scalar math instead)
+    model = PhaseNoiseModel(SIGMA)
+    trials = 2 * TRIAL_CHUNK + 7
+    fidelities = trial_fidelities(5, model, trials, seed=23)
+    for t in range(trials):
+        phases = sample_bond_errors(model, 4, seed=23, stream=t)
+        assert fidelities[t] == ideal_cluster_fidelity(phases[np.newaxis])[0]
+
+
+def test_trial_fidelities_prefix_property():
+    model = PhaseNoiseModel(SIGMA)
+    full = trial_fidelities(8, model, 2 * TRIAL_CHUNK + 50, seed=29)
+    for k in (1, 100, TRIAL_CHUNK, TRIAL_CHUNK + 1, 2 * TRIAL_CHUNK + 3):
+        assert np.array_equal(trial_fidelities(8, model, k, seed=29), full[:k])
 
 
 def test_sample_validation():

@@ -113,6 +113,13 @@ def test_stabilizers_of_ideal_cluster():
             assert stabilizer_expectation(state, site) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_stabilizers_of_ideal_cluster_exactly_one():
+    # rounding in the 2^(-n/2) amplitudes must not push a Pauli expectation past 1
+    for n in range(1, 8):
+        state = ideal_cluster(n)
+        assert [stabilizer_expectation(state, site) for site in range(n)] == [1.0] * n
+
+
 def test_stabilizer_of_plus_chain_is_zero():
     assert stabilizer_expectation(init_plus_chain(2), 0) == pytest.approx(0.0, abs=1e-12)
 
