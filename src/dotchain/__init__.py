@@ -1,7 +1,7 @@
 """Simulation of one-step cluster-state preparation in a chain of
 singlet/triplet double-quantum-dot qubits."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .constants import COULOMB_EV_NM, GAAS_RELATIVE_PERMITTIVITY, HBAR_EV_S, HBAR_MEV_NS
 from .measurement import (

@@ -10,9 +10,8 @@ import sys
 
 import click
 
-from .config import ConfigError, config_from_strings, load_config_file
+from .config import config_from_strings, load_config_file
 from .harness import run_figure2, run_figure3, run_measure_demo, run_prepare
-from .pulse import CalibrationError
 
 
 def _load(config_path, overrides: dict[str, str]):
@@ -53,45 +52,44 @@ def main():
     """Cluster-state preparation in a double-quantum-dot qubit chain."""
 
 
+def _run(command, config_path, out_dir, seed, trials, qubits, sigma_over_pi):
+    """Load the config and run one harness command.
+
+    Every failure to carry out a request exits 1 with its message.
+    ConfigError and CalibrationError are ValueErrors, and so are the checks
+    a valid config can still fail, such as a pulse too long to represent.
+    """
+    try:
+        cfg = _load(config_path, _overrides(seed, trials, qubits, sigma_over_pi))
+        return command(cfg, out_dir)
+    except (ValueError, OSError) as exc:
+        raise click.ClickException(str(exc)) from exc
+
+
+def _echo_paths(paths) -> None:
+    for name, path in paths.items():
+        click.echo(f"{name}: {path}")
+
+
 @main.command()
 @_with_common
-def figure2(config_path, out_dir, seed, trials, qubits, sigma_over_pi):
+def figure2(**options):
     """Coupling-vs-detuning sweep and calibrated pulse waveform CSVs."""
-    try:
-        cfg = _load(config_path, _overrides(seed, trials, qubits, sigma_over_pi))
-        paths = run_figure2(cfg, out_dir)
-    except (ConfigError, CalibrationError, OSError) as exc:
-        raise click.ClickException(str(exc)) from exc
-    for name, path in paths.items():
-        click.echo(f"{name}: {path}")
+    _echo_paths(_run(run_figure2, **options))
 
 
 @main.command()
 @_with_common
-def figure3(config_path, out_dir, seed, trials, qubits, sigma_over_pi):
+def figure3(**options):
     """Fidelity grids over chain length and noise level."""
-    try:
-        cfg = _load(config_path, _overrides(seed, trials, qubits, sigma_over_pi))
-        paths = run_figure3(cfg, out_dir)
-    except (ConfigError, CalibrationError, OSError) as exc:
-        raise click.ClickException(str(exc)) from exc
-    for name, path in paths.items():
-        click.echo(f"{name}: {path}")
+    _echo_paths(_run(run_figure3, **options))
 
 
 @main.command()
 @_with_common
-def prepare(config_path, out_dir, seed, trials, qubits, sigma_over_pi):
+def prepare(**options):
     """Prepare the cluster state and verify fidelity and stabilizers."""
-    try:
-        cfg = _load(config_path, _overrides(seed, trials, qubits, sigma_over_pi))
-        report = run_prepare(cfg, out_dir)
-    except CalibrationError as exc:
-        raise click.ClickException(
-            f"calibration failed: {exc} (ramp-only phase {exc.ramp_phase_rad:.6g} rad)"
-        ) from exc
-    except (ConfigError, OSError) as exc:
-        raise click.ClickException(str(exc)) from exc
+    report = _run(run_prepare, **options)
     click.echo(
         f"n={report.n_qubits} hold={report.hold_ns:.6g} ns "
         f"bond_phase={report.bond_phase_rad:.9g} rad"
@@ -106,15 +104,9 @@ def prepare(config_path, out_dir, seed, trials, qubits, sigma_over_pi):
 
 @main.command("measure-demo")
 @_with_common
-def measure_demo(config_path, out_dir, seed, trials, qubits, sigma_over_pi):
+def measure_demo(**options):
     """Prepare the cluster, then run the configured measurement pattern."""
-    try:
-        cfg = _load(config_path, _overrides(seed, trials, qubits, sigma_over_pi))
-        paths = run_measure_demo(cfg, out_dir)
-    except (ConfigError, CalibrationError, ValueError, OSError) as exc:
-        raise click.ClickException(str(exc)) from exc
-    for name, path in paths.items():
-        click.echo(f"{name}: {path}")
+    _echo_paths(_run(run_measure_demo, **options))
 
 
 if __name__ == "__main__":

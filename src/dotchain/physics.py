@@ -88,13 +88,16 @@ def adiabatic_angle(epsilon_mev: float, tunnel_coupling_mev: float) -> float:
     if tunnel_coupling_mev <= 0:
         raise ValueError("tunnel_coupling_mev must be > 0")
     tc = tunnel_coupling_mev
+    return math.atan(_eps_plus_d(epsilon_mev, tc) / (2.0 * tc))
+
+
+def _eps_plus_d(epsilon_mev: float, tc: float) -> float:
+    """eps + d with d = sqrt(4 tc^2 + eps^2), free of cancellation at eps < 0."""
     d = math.hypot(2.0 * tc, epsilon_mev)
     if epsilon_mev >= 0:
-        num = epsilon_mev + d
-    else:
-        # eps + d = 4 tc^2 / (d - eps), cancellation-free for eps < 0
-        num = 4.0 * tc * tc / (d - epsilon_mev)
-    return math.atan(num / (2.0 * tc))
+        return epsilon_mev + d
+    # eps + d = 4 tc^2 / (d - eps)
+    return 4.0 * tc * tc / (d - epsilon_mev)
 
 
 def singlet_admixture(theta_rad: float) -> float:

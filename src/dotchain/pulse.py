@@ -6,11 +6,12 @@ back. The conditional phase picked up by each nearest-neighbor bond is the
 time integral of the Ising coupling along the sweep, divided by hbar. A
 cluster state needs that phase to equal pi, which fixes the hold time.
 
-The integrand ising_coupling(adiabatic_angle(eps(t))) is nearly a step: the
-admixture switches within |eps| of a few tunnel couplings while the ramp
-spans the full charging energy. Ramp segments are therefore integrated with
-adaptive quadrature, with a forced breakpoint at the eps = 0 crossing; the
-hold segment is a constant and is added in closed form.
+The integral is closed form. On the adiabatic branch the singlet admixture
+is sin^2 theta = (eps + d) / (2 d) with d = sqrt(eps^2 + 4 tc^2), which is
+dF/deps for F(eps) = (eps + d) / 2. A linear ramp therefore contributes
+J_max * [F(eps_high) - F(eps_low)] per meV of sweep, J_max being the
+theta = pi/2 coupling, and the hold adds its constant plateau coupling. The
+phase is affine in the hold time, so calibration is one division.
 """
 
 from __future__ import annotations
@@ -20,13 +21,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .constants import HBAR_MEV_NS
-from .physics import DeviceParams, adiabatic_angle, ising_coupling
-
-QUAD_RTOL = 1e-9
+from .physics import HALF_PI, DeviceParams, _eps_plus_d, adiabatic_angle, ising_coupling
 
 
 class CalibrationError(ValueError):
@@ -67,13 +64,20 @@ class DetuningPulse:
             raise ValueError("pulse durations must be >= 0")
         if self.eps_low_mev >= self.eps_high_mev:
             raise ValueError("eps_low_mev must be below eps_high_mev")
+        if not math.isfinite(self.duration_ns):
+            raise ValueError(f"pulse duration must be finite, got {self.duration_ns} ns")
 
     @property
     def duration_ns(self) -> float:
         return self.ramp_up_ns + self.hold_ns + self.ramp_down_ns
 
     def detuning_at(self, t_ns: float) -> float:
-        """Detuning eps(t) in meV for t inside [0, duration]."""
+        """Detuning eps(t) in meV for t inside [0, duration].
+
+        The down ramp is measured back from the end of the pulse, the mirror
+        of the up ramp, so both ends give eps_low exactly; rounding never
+        takes a value outside [eps_low, eps_high].
+        """
         if not math.isfinite(t_ns) or t_ns < 0.0 or t_ns > self.duration_ns:
             raise ValueError(
                 f"t={t_ns} ns outside pulse duration [0, {self.duration_ns}] ns"
@@ -82,14 +86,14 @@ class DetuningPulse:
         if t_ns <= self.ramp_up_ns:
             if self.ramp_up_ns == 0.0:
                 return lo
-            return lo + (hi - lo) * (t_ns / self.ramp_up_ns)
-        t_ns -= self.ramp_up_ns
-        if t_ns <= self.hold_ns:
+            fraction = t_ns / self.ramp_up_ns
+        elif t_ns - self.ramp_up_ns <= self.hold_ns:
             return hi
-        t_ns -= self.hold_ns
-        if self.ramp_down_ns == 0.0:
+        elif self.ramp_down_ns == 0.0:
             return lo
-        return hi + (lo - hi) * (t_ns / self.ramp_down_ns)
+        else:
+            fraction = (self.duration_ns - t_ns) / self.ramp_down_ns
+        return min(lo + (hi - lo) * fraction, hi)
 
     def time_reversed(self) -> "DetuningPulse":
         return DetuningPulse(
@@ -112,19 +116,13 @@ def symmetric_pulse(dev: DeviceParams, ramp_ns: float, hold_ns: float) -> Detuni
 def _ramp_coupling_integral_mev2(pulse: DetuningPulse, dev: DeviceParams) -> float:
     """Integral of the Ising coupling over detuning, across [eps_low, eps_high].
 
-    Units meV^2 (meV integrated over meV). A linear ramp of duration T
-    contributes T * integral / (eps_high - eps_low) to the time integral.
+    Units meV^2 (meV integrated over meV): J_max * [F(eps_high) - F(eps_low)]
+    with F = (eps + d) / 2. A linear ramp of duration T contributes
+    T * integral / (eps_high - eps_low) to the time integral.
     """
     tc = dev.tunnel_coupling_mev
-
-    def integrand(eps: float) -> float:
-        return ising_coupling(dev, adiabatic_angle(eps, tc))
-
-    lo, hi = pulse.eps_low_mev, pulse.eps_high_mev
-    # The admixture switches within |eps| ~ tc; force a breakpoint there.
-    points = [0.0] if lo < 0.0 < hi else None
-    value, _ = quad(integrand, lo, hi, points=points, epsabs=0.0, epsrel=QUAD_RTOL, limit=200)
-    return value
+    span = _eps_plus_d(pulse.eps_high_mev, tc) - _eps_plus_d(pulse.eps_low_mev, tc)
+    return ising_coupling(dev, HALF_PI) * span / 2.0
 
 
 def plateau_coupling(pulse: DetuningPulse, dev: DeviceParams) -> float:
@@ -135,8 +133,8 @@ def plateau_coupling(pulse: DetuningPulse, dev: DeviceParams) -> float:
 def accumulated_phase(pulse: DetuningPulse, dev: DeviceParams) -> float:
     """Conditional phase (radians) a nearest-neighbor bond acquires over the pulse.
 
-    (1/hbar) * integral of ising_coupling(adiabatic_angle(eps(t))) dt, exact
-    on the hold plateau and adaptive (relative tolerance 1e-9) on the ramps.
+    (1/hbar) * integral of ising_coupling(adiabatic_angle(eps(t))) dt, in
+    closed form on the hold plateau and on both ramps.
     """
     ramp_time = pulse.ramp_up_ns + pulse.ramp_down_ns
     total_mev_ns = pulse.hold_ns * plateau_coupling(pulse, dev)
@@ -155,10 +153,9 @@ def solve_hold_time(
 ) -> float:
     """Hold time (ns) for which the accumulated bond phase equals the target.
 
-    The phase is strictly increasing and affine in the hold time, so the
-    closed-form estimate is already the root; a bracketed Brent solve on
-    accumulated_phase polishes it to relative 1e-9. Raises CalibrationError,
-    carrying the ramp-only phase, when the ramps alone overshoot the target.
+    The phase is affine in the hold time: the ramp-only phase plus the
+    plateau rate times the hold. Raises CalibrationError, carrying the
+    ramp-only phase, when the ramps alone overshoot the target.
     """
     if target_phase_rad <= 0 or not math.isfinite(target_phase_rad):
         raise ValueError("target_phase_rad must be positive and finite")
@@ -168,13 +165,9 @@ def solve_hold_time(
     lo = -half if eps_low_mev is None else eps_low_mev
     hi = half if eps_high_mev is None else eps_high_mev
 
-    def pulse_with(hold: float) -> DetuningPulse:
-        return DetuningPulse(
-            ramp_up_ns=tau1_ns, hold_ns=hold, eps_low_mev=lo, eps_high_mev=hi
-        )
-
-    ramp_phase = accumulated_phase(pulse_with(0.0), dev)
-    rate = plateau_coupling(pulse_with(0.0), dev) / HBAR_MEV_NS  # rad/ns
+    ramps = DetuningPulse(ramp_up_ns=tau1_ns, hold_ns=0.0, eps_low_mev=lo, eps_high_mev=hi)
+    ramp_phase = accumulated_phase(ramps, dev)
+    rate = plateau_coupling(ramps, dev) / HBAR_MEV_NS  # rad/ns
     missing = target_phase_rad - ramp_phase
     if missing < -abs(target_phase_rad) * 1e-12 or (missing > 0 and rate <= 0.0):
         raise CalibrationError(
@@ -185,19 +178,7 @@ def solve_hold_time(
         )
     if missing <= 0.0:
         return 0.0
-
-    estimate = missing / rate
-
-    def objective(hold: float) -> float:
-        return accumulated_phase(pulse_with(hold), dev) - target_phase_rad
-
-    lo_h, hi_h = 0.0, estimate * 1.5 + 1e-12
-    f_hi = objective(hi_h)
-    while f_hi < 0.0:
-        hi_h *= 2.0
-        f_hi = objective(hi_h)
-    root = brentq(objective, lo_h, hi_h, xtol=1e-15, rtol=8.9e-16)
-    return float(root)
+    return missing / rate
 
 
 def bond_phase_vector(pulse: DetuningPulse, dev: DeviceParams, n_qubits: int) -> np.ndarray:

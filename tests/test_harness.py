@@ -1,11 +1,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import dotchain
 from dotchain import plateau_coupling, solve_hold_time
 from dotchain.cli import main
 from dotchain.config import config_from_strings, load_config_file
@@ -283,6 +288,54 @@ def test_cli_reports_unreachable_calibration(tmp_path):
     assert result.exit_code == 1
     assert "unreachable" in result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["figure2", "prepare", "measure-demo"])
+@pytest.mark.parametrize(
+    "config_text, message",
+    [
+        ("tau1_ns = 20.0\n", "unreachable"),
+        # valid keys, yet the pulse lasts longer than a double can hold
+        ("tau1_ns = 1e308\ntau2_ns = 1.0\n", "duration must be finite"),
+    ],
+    ids=["unreachable", "endless"],
+)
+def test_cli_failures_exit_1_on_every_pulse_command(tmp_path, command, config_text, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config_text + "n_qubits = 2\n")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, [command, "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert message in result.output
+    assert not out.exists()
+
+
+def test_cli_refuses_manifest_from_older_version(tmp_path):
+    # figure2c.csv from 0.2.0 differs in the last bits, so replaying its
+    # manifest would not reproduce it
+    runner = CliRunner()
+    first = runner.invoke(main, ["figure2", "--out", str(tmp_path / "first")])
+    assert first.exit_code == 0, first.output
+    manifest = json.loads((tmp_path / "first" / "run_manifest.json").read_text())
+    manifest["artifact_version"] = "0.2.0"
+    old = tmp_path / "old_manifest.json"
+    old.write_text(json.dumps(manifest))
+    result = runner.invoke(main, ["figure2", "--config", str(old), "--out", str(tmp_path / "replay")])
+    assert result.exit_code == 1
+    assert "artifact_version" in result.output
+
+
+def test_runtime_does_not_import_scipy():
+    # scipy is a test-only dependency; the pulse calculus is closed form
+    src = str(Path(dotchain.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, dotchain, dotchain.cli, dotchain.harness\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))[:5]\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_cli_refuses_manifest_from_other_rng(tmp_path):

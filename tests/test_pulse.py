@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dotchain import (
     HBAR_MEV_NS,
     CalibrationError,
     DetuningPulse,
+    DeviceParams,
     accumulated_phase,
     adiabatic_angle,
     bond_phase_vector,
@@ -39,6 +42,23 @@ def test_detuning_out_of_range(dev):
     for t in (-0.1, pulse.duration_ns + 1e-9, float("nan")):
         with pytest.raises(ValueError):
             pulse.detuning_at(t)
+
+
+def test_detuning_stays_inside_window():
+    # rounding near either end of a ramp must not leave [eps_low, eps_high]
+    rng = np.random.default_rng(20261018)
+    for _ in range(100):
+        lo, hi = np.sort(rng.uniform(-3.0, 3.0, 2))
+        pulse = DetuningPulse(
+            ramp_up_ns=float(rng.uniform(0.01, 3.0)),
+            hold_ns=float(rng.uniform(0.0, 5.0)),
+            ramp_down_ns=float(rng.uniform(0.01, 3.0)),
+            eps_low_mev=float(lo),
+            eps_high_mev=float(hi),
+        )
+        eps = [pulse.detuning_at(float(t)) for t in np.linspace(0.0, pulse.duration_ns, 2001)]
+        assert eps[0] == lo and eps[-1] == lo
+        assert lo <= min(eps) and max(eps) <= hi
 
 
 def test_pulse_validation():
@@ -148,6 +168,36 @@ def test_quadrature_matches_trapezoid_oracle(dev):
         adaptive = accumulated_phase(pulse, dev)
         oracle = trapezoid_phase(tau_up, hold, tau_down, lo, hi, dev, steps=10_000_000)
         assert adaptive == pytest.approx(oracle, rel=1e-6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    tc=st.floats(min_value=0.01, max_value=2.0),
+    charging=st.floats(min_value=0.5, max_value=10.0),
+    ramp_up=st.floats(min_value=0.05, max_value=2.0),
+    hold=st.floats(min_value=0.0, max_value=3.0),
+    ramp_down=st.floats(min_value=0.05, max_value=2.0),
+    edges=st.tuples(
+        st.floats(min_value=0.05, max_value=1.0), st.floats(min_value=0.05, max_value=1.0)
+    ).filter(lambda e: abs(e[0] - e[1]) >= 0.05),
+    side=st.sampled_from(["below", "straddle", "above"]),
+)
+def test_closed_form_matches_trapezoid_oracle_across_devices(
+    tc, charging, ramp_up, hold, ramp_down, edges, side
+):
+    # One-sided windows test each branch of F(eps) = (eps + d) / 2 alone.
+    dev = DeviceParams(tunnel_coupling_mev=tc, charging_energy_mev=charging)
+    a, b = (charging / 2.0 * e for e in sorted(edges))
+    lo, hi = {"below": (-b, -a), "straddle": (-a, b), "above": (a, b)}[side]
+    pulse = DetuningPulse(
+        ramp_up_ns=ramp_up,
+        hold_ns=hold,
+        ramp_down_ns=ramp_down,
+        eps_low_mev=lo,
+        eps_high_mev=hi,
+    )
+    oracle = trapezoid_phase(ramp_up, hold, ramp_down, lo, hi, dev, steps=100_000)
+    assert accumulated_phase(pulse, dev) == pytest.approx(oracle, rel=1e-6)
 
 
 def test_solve_rectangular_golden(dev, golden):
