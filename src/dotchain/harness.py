@@ -167,11 +167,11 @@ def run_prepare(cfg: ExperimentConfig, out_dir) -> PrepareReport:
     The dense engine gives the same numbers and is their test oracle.
     """
     pulse = cfg.build_pulse()
-    out = _ensure_out(out_dir)
     n = cfg.n_qubits
     phase = accumulated_phase(pulse, cfg.device)
     bonds = np.full(n - 1, phase)
-    stabs = tuple(cluster_stabilizers(bonds).tolist())
+    stabs = tuple(cluster_stabilizers(bonds).tolist())  # refuses a non-finite phase
+    out = _ensure_out(out_dir)
     report = PrepareReport(
         n_qubits=n,
         ramp_ns=pulse.ramp_up_ns,

@@ -12,6 +12,11 @@ this z readout, so the Bloch frame here puts the triplet |1> at +z:
 Pushing the detuning of two adjacent molecules at once would switch their
 bond back on, so a measurement round never contains nearest neighbors;
 schedule_rounds makes violating that unrepresentable.
+
+One kernel applies every projector P to qubit q: with the amplitudes viewed
+as (2**q, 2, 2**(n-q-1)), output half j is psi[:, 0]*P[j, 0] + psi[:, 1]*P[j, 1].
+Each public call checks its input state once (post-states built here were
+validated by ChainState); run_schedule draws all its uniforms in one call.
 """
 
 from __future__ import annotations
@@ -79,39 +84,36 @@ class RoundSchedule:
             present = set(rnd)
             for q in rnd:
                 if q + 1 in present:
-                    raise ValueError(
-                        f"round {rnd} contains nearest neighbors {q} and {q + 1}"
-                    )
+                    raise ValueError(f"round {rnd} contains nearest neighbors {q} and {q + 1}")
 
     @property
     def qubits(self) -> tuple[int, ...]:
         return tuple(q for rnd in self.rounds for q in rnd)
 
 
-def _measurement_matrix(axis) -> np.ndarray:
-    nx, ny, nz = axis
-    return np.array(
-        [[-nz, nx + 1j * ny], [nx - 1j * ny, nz]], dtype=np.complex128
-    )
-
-
 def _apply_on_qubit(amps: np.ndarray, mat: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    psi = amps.reshape([2] * n)
-    psi = np.moveaxis(psi, qubit, -1)
-    psi = psi @ mat.T
-    return np.moveaxis(psi, -1, qubit).reshape(-1)
+    """The 2x2 mat applied to one qubit, which is axis 1 of the view below."""
+    psi = amps.reshape(2**qubit, 2, 2 ** (n - qubit - 1))
+    # broadcast over j: out[:, j] = psi[:, 0]*mat[j, 0] + psi[:, 1]*mat[j, 1]
+    out = psi[:, :1] * mat[:, :1] + psi[:, 1:] * mat[:, 1:]
+    out += 0.0  # -0.0 -> +0.0, as in a sum accumulated from zero
+    return out.reshape(-1)
+
+
+def _check(state: ChainState, qubits) -> None:
+    """The one input check of a public call: qubit range and state norm."""
+    for q in qubits:
+        if q >= state.n_qubits:
+            raise ValueError(f"qubit {q} out of range for {state.n_qubits} qubits")
+    if abs(state.norm() - 1.0) > NORM_ATOL:
+        raise ValueError("state is not normalized")
 
 
 def _branch(state: ChainState, spec: MeasurementSpec, outcome: int) -> np.ndarray:
-    """Unnormalized projected amplitudes P_outcome psi of a validated state."""
-    n = state.n_qubits
-    if spec.qubit >= n:
-        raise ValueError(f"qubit {spec.qubit} out of range for {n} qubits")
-    if abs(state.norm() - 1.0) > NORM_ATOL:
-        raise ValueError("state is not normalized")
-    mat = _measurement_matrix(spec.basis)
-    projector = (np.eye(2) + outcome * mat) / 2.0
-    return _apply_on_qubit(state.amplitudes, projector, spec.qubit, n)
+    """Unnormalized P psi of a checked state, P = (I + outcome * M(axis)) / 2."""
+    nx, ny, nz = spec.basis
+    mat = outcome * np.array([[-nz, nx + 1j * ny], [nx - 1j * ny, nz]])
+    return _apply_on_qubit(state.amplitudes, (np.eye(2) + mat) / 2.0, spec.qubit, state.n_qubits)
 
 
 def _probability(branch: np.ndarray) -> float:
@@ -132,9 +134,22 @@ def project(
     """
     if outcome not in (-1, +1):
         raise ValueError(f"outcome must be +-1, got {outcome}")
+    _check(state, (spec.qubit,))
     branch = _branch(state, spec, outcome)
     prob = _probability(branch)
     return prob, _collapse(state.n_qubits, branch, prob)
+
+
+def _sample(state: ChainState, spec: MeasurementSpec, u: float) -> MeasurementRecord:
+    """Outcome +1 when the uniform u falls below p+; the state is not re-checked."""
+    plus = _branch(state, spec, +1)
+    p_plus = _probability(plus)
+    if u < p_plus:
+        outcome, branch, prob = +1, plus, p_plus
+    else:
+        branch = state.amplitudes - plus
+        outcome, prob = -1, _probability(branch)
+    return MeasurementRecord(spec.qubit, outcome, prob, _collapse(state.n_qubits, branch, prob))
 
 
 def measure(
@@ -142,19 +157,13 @@ def measure(
 ) -> MeasurementRecord:
     """Sample one projective measurement; deterministic per (seed, stream).
 
-    The uniform is stream `stream` of the seed's measurement domain. One
-    projection serves both outcomes: the -1 branch is psi - P+ psi, and its
-    probability comes from its own norm, not from 1 - p+, which cancels when
-    p+ is close to 1. Only the sampled branch is normalized.
+    Checks the state once and draws stream `stream` of the seed's measurement
+    domain. One projection serves both outcomes: the -1 branch is psi - P+ psi,
+    and its probability comes from its own norm, not from 1 - p+, which
+    cancels when p+ is close to 1. Only the sampled branch is normalized.
     """
-    plus = _branch(state, spec, +1)
-    p_plus = _probability(plus)
-    if uniforms(seed, MEASUREMENT, stream, 1)[0, 0] < p_plus:
-        outcome, branch, prob = +1, plus, p_plus
-    else:
-        branch = state.amplitudes - plus
-        outcome, prob = -1, _probability(branch)
-    return MeasurementRecord(spec.qubit, outcome, prob, _collapse(state.n_qubits, branch, prob))
+    _check(state, (spec.qubit,))
+    return _sample(state, spec, uniforms(seed, MEASUREMENT, stream, 1)[0, 0])
 
 
 def schedule_rounds(requested) -> RoundSchedule:
@@ -170,15 +179,11 @@ def schedule_rounds(requested) -> RoundSchedule:
     if any(q < 0 for q in qubits):
         raise ValueError("qubit indices must be >= 0")
     ordered = sorted(qubits)
-    if not ordered:
-        return RoundSchedule(rounds=())
-    has_conflict = any(b - a == 1 for a, b in zip(ordered, ordered[1:]))
-    if not has_conflict:
-        return RoundSchedule(rounds=(tuple(ordered),))
-    evens = tuple(q for q in ordered if q % 2 == 0)
-    odds = tuple(q for q in ordered if q % 2 == 1)
-    rounds = tuple(rnd for rnd in (evens, odds) if rnd)
-    return RoundSchedule(rounds=rounds)
+    if any(b - a == 1 for a, b in zip(ordered, ordered[1:])):
+        rounds = (tuple(q for q in ordered if q % 2 == 0), tuple(q for q in ordered if q % 2 == 1))
+    else:
+        rounds = (tuple(ordered),)
+    return RoundSchedule(rounds=tuple(rnd for rnd in rounds if rnd))
 
 
 def run_schedule(
@@ -189,19 +194,15 @@ def run_schedule(
     Within a round the projectors act on non-adjacent qubits and commute, so
     the intra-round order cannot change any joint outcome probability (the
     tests check this by enumeration). bases maps qubit index to a Bloch
-    axis; measurement k of the run uses stream k of the seed.
+    axis. Measurement t uses stream t of the seed: one draw of k streams
+    serves all k measurements. Only the input state is checked; the
+    post-states that follow were built, and validated, by this call.
     """
-    for q in schedule.qubits:
-        if q >= state.n_qubits:
-            raise ValueError(f"scheduled qubit {q} out of range for {state.n_qubits} qubits")
+    _check(state, schedule.qubits)
+    order = [q for rnd in schedule.rounds for q in sorted(rnd)]
+    draws = uniforms(seed, MEASUREMENT, 0, len(order))[:, 0] if order else ()
     records: list[MeasurementRecord] = []
-    current = state
-    stream = 0
-    for rnd in schedule.rounds:
-        for q in sorted(rnd):
-            spec = MeasurementSpec(qubit=q, basis=tuple(bases[q]))
-            record = measure(current, spec, seed, stream=stream)
-            records.append(record)
-            current = record.post_state
-            stream += 1
+    for q, u in zip(order, draws):
+        current = records[-1].post_state if records else state
+        records.append(_sample(current, MeasurementSpec(qubit=q, basis=tuple(bases[q])), u))
     return records

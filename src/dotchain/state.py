@@ -49,10 +49,6 @@ class ChainState:
     def copy(self) -> "ChainState":
         return ChainState(self.n_qubits, self.amplitudes.copy())
 
-    def _tensor(self) -> np.ndarray:
-        """View shaped [2]*n; axis k indexes qubit k."""
-        return self.amplitudes.reshape([2] * self.n_qubits)
-
 
 def init_plus_chain(n: int) -> ChainState:
     """Product state with every qubit in (|0> + |1>)/sqrt(2)."""
@@ -60,6 +56,15 @@ def init_plus_chain(n: int) -> ChainState:
         raise ValueError(f"n must lie in [1, {MAX_QUBITS}], got {n}")
     amps = np.full(2**n, 2.0 ** (-n / 2.0), dtype=np.complex128)
     return ChainState(n, amps)
+
+
+def _scale_bonds(psi: np.ndarray, factors) -> None:
+    """Multiply the z_b = z_{b+1} = 1 slice of psi (shape [2]*n) by factors[b], in place."""
+    for b, factor in enumerate(factors):
+        sel = [slice(None)] * psi.ndim
+        sel[b] = 1
+        sel[b + 1] = 1
+        psi[tuple(sel)] *= factor
 
 
 def apply_ising_phases(state: ChainState, bond_phases) -> ChainState:
@@ -73,12 +78,7 @@ def apply_ising_phases(state: ChainState, bond_phases) -> ChainState:
     if phases.size and not np.all(np.isfinite(phases)):
         raise ValueError("bond phases must be finite")
     amps = state.amplitudes.copy()
-    psi = amps.reshape([2] * n)
-    for b, phi in enumerate(phases):
-        sel = [slice(None)] * n
-        sel[b] = 1
-        sel[b + 1] = 1
-        psi[tuple(sel)] *= np.exp(1j * phi)
+    _scale_bonds(amps.reshape([2] * n), (np.exp(1j * phi) for phi in phases))
     return ChainState(n, amps)
 
 
@@ -90,12 +90,7 @@ def ideal_cluster(n: int) -> ChainState:
     with every bond at pi.
     """
     state = init_plus_chain(n)
-    psi = state._tensor()
-    for b in range(n - 1):
-        sel = [slice(None)] * n
-        sel[b] = 1
-        sel[b + 1] = 1
-        psi[tuple(sel)] *= -1.0
+    _scale_bonds(state.amplitudes.reshape([2] * n), [-1.0] * (n - 1))
     return state
 
 
@@ -167,10 +162,13 @@ def cluster_stabilizers(bond_phases) -> np.ndarray:
 
     Matches stabilizer_expectation on apply_ising_phases(plus, phases) to
     machine precision; the dense route is the test oracle for this one.
+    Non-finite phases are refused, as apply_ising_phases refuses them.
     """
     phases = np.asarray(bond_phases, dtype=float)
     if phases.ndim != 1:
         raise ValueError(f"expected a 1-d bond phase vector, got shape {phases.shape}")
+    if not np.all(np.isfinite(phases)):
+        raise ValueError("bond phases must be finite")
     h = np.ones(phases.size + 2, dtype=np.complex128)
     h[1:-1] = (1.0 - np.exp(1j * phases)) / 2.0
     return (h[:-1] * h[1:]).real

@@ -311,6 +311,19 @@ def test_cli_failures_exit_1_on_every_pulse_command(tmp_path, command, config_te
     assert not out.exists()
 
 
+def test_cli_prepare_refuses_non_finite_bond_phase(tmp_path):
+    # a valid config whose hold-time coupling overflows gives an infinite
+    # bond phase; prepare must refuse it before writing any file
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text("relative_permittivity = 0.01\ntau2_ns = 1e306\nn_qubits = 3\n")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["prepare", "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 1
+    assert "bond phases must be finite" in result.output
+    assert not (out / "stabilizers.csv").exists()
+    assert not (out / "prepare_report.json").exists()
+
+
 def test_cli_refuses_manifest_from_older_version(tmp_path):
     # figure2c.csv from 0.2.0 differs in the last bits, so replaying its
     # manifest would not reproduce it

@@ -21,6 +21,9 @@ from dotchain.measurement import NAMED_AXES, X_AXIS, Z_AXIS
 from dotchain.rng import MEASUREMENT, uniforms
 
 from conftest import random_state
+from oracles import I2, PAULI_X, PAULI_Z, kron_chain
+
+PAULI_Y = np.array([[0.0, -1j], [1j, 0.0]])
 
 
 def ket(*amps):
@@ -131,6 +134,24 @@ def test_unlikely_minus_outcome_keeps_precision():
     assert np.allclose(record.post_state.amplitudes, [1, 0], atol=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=1, max_value=8), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_project_matches_kron_oracle(n, seed):
+    # P = (I + o*M)/2 on qubit q as a kron-built 2^n operator, with
+    # M = nx X - ny Y - nz Z (triplet |1> at +z)
+    rng = np.random.default_rng(seed)
+    state = random_state(n, rng)
+    for q in range(n):
+        axis = _random_axis(rng)
+        m = axis[0] * PAULI_X - axis[1] * PAULI_Y - axis[2] * PAULI_Z
+        for outcome in (-1, +1):
+            branch = kron_chain(n, {q: (I2 + outcome * m) / 2.0}) @ state.amplitudes
+            expected = float(np.vdot(branch, branch).real)
+            prob, post = project(state, MeasurementSpec(q, axis), outcome)
+            assert prob == pytest.approx(expected, abs=1e-12)
+            assert np.max(np.abs(post.amplitudes - branch / math.sqrt(expected))) <= 1e-12
+
+
 def test_middle_qubit_z_deletion():
     # measuring the middle qubit of a 3-chain in z cuts the graph: both
     # outcomes are equally likely and leave the outer qubits in a product
@@ -209,6 +230,35 @@ def test_run_schedule_deterministic():
 def test_run_schedule_range_check():
     with pytest.raises(ValueError):
         run_schedule(ideal_cluster(2), schedule_rounds([5]), {5: Z_AXIS}, seed=0)
+
+
+def test_run_schedule_equals_measure_loop():
+    # one batched draw per schedule: measurement t still sees exactly the
+    # uniform of stream t, bit for bit
+    rng = np.random.default_rng(31)
+    names = sorted(NAMED_AXES)
+    for seed in (0, 1, 7, 2024, 2**63 + 5):
+        state = random_state(6, rng)
+        schedule = schedule_rounds(range(6))
+        bases = {q: NAMED_AXES[names[int(rng.integers(0, 3))]] for q in range(6)}
+        records = run_schedule(state, schedule, bases, seed)
+        current, stream = state, 0
+        for rnd in schedule.rounds:
+            for q in sorted(rnd):
+                expected = measure(current, MeasurementSpec(q, bases[q]), seed, stream=stream)
+                record = records[stream]
+                assert (record.qubit, record.outcome) == (q, expected.outcome)
+                assert record.probability == expected.probability
+                assert record.post_state.amplitudes.tobytes() == expected.post_state.amplitudes.tobytes()
+                current, stream = expected.post_state, stream + 1
+        assert stream == len(records) == 6
+
+
+def test_run_schedule_rejects_denormalized_state():
+    state = ideal_cluster(3)
+    state.amplitudes = state.amplitudes * 0.5
+    with pytest.raises(ValueError):
+        run_schedule(state, schedule_rounds(range(3)), {q: Z_AXIS for q in range(3)}, seed=0)
 
 
 def test_intra_round_order_irrelevant():

@@ -174,6 +174,24 @@ def test_closed_form_stabilizers_match_dense(phases):
         assert closed[site] == pytest.approx(stabilizer_expectation(state, site), abs=1e-12)
 
 
+def test_cluster_stabilizers_refuse_non_finite_phases():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            cluster_stabilizers([math.pi, bad])
+
+
+def test_ideal_cluster_amplitudes_exact():
+    # the sign of basis state z is (-1)^(number of adjacent 11 pairs), and
+    # every magnitude is exactly 2^(-n/2)
+    for n in range(1, 11):
+        amps = ideal_cluster(n).amplitudes
+        assert np.all(amps.imag == 0.0)
+        for index, amp in enumerate(amps):
+            bits = [(index >> (n - 1 - k)) & 1 for k in range(n)]
+            pairs = sum(a & b for a, b in zip(bits, bits[1:]))
+            assert amp.real == (-1) ** pairs * 2.0 ** (-n / 2.0)
+
+
 def test_stabilizer_matches_kron_oracle():
     rng = np.random.default_rng(2718)
     for n in (2, 3, 4):
