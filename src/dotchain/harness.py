@@ -22,7 +22,7 @@ from . import __version__
 from .config import ExperimentConfig, canonical_text
 from .constants import constants_table
 from .measurement import NAMED_AXES, run_schedule, schedule_rounds
-from .noise import PhaseNoiseModel, exact_mean_fidelity, monte_carlo_fidelity
+from .noise import PhaseNoiseModel, exact_mean_fidelity, monte_carlo_fidelities
 from .physics import adiabatic_angle, ising_coupling
 from .pulse import accumulated_phase, bond_phase_vector
 from .rng import RNG_ALGORITHM
@@ -110,21 +110,24 @@ def run_figure3(cfg: ExperimentConfig, out_dir) -> dict[str, Path]:
     """Fidelity grids: n = 2..20 at sigma = 0.03 pi, and the sigma sweep at n = 20.
 
     Each row carries both the Monte Carlo estimate and the exact Gaussian
-    average so the two estimators can be compared downstream.
+    average so the two estimators can be compared downstream. All rows come
+    from one monte_carlo_fidelities call. Every row reads trials
+    0 .. trials - 1 of cfg.seed, and rows of one stream width
+    ceil((n - 1) / 4) draw each trial once between them, so rows are
+    correlated, as they always were. The widest width holds n = 18..20 and
+    the whole sigma sweep, so at most (3 + len(sigma_over_pi)) x trials x 8 B
+    of per-trial fidelities are held at once. Rows follow the config order;
+    a repeated sigma repeats its row.
     """
     out = _ensure_out(out_dir)
-    rows = []
-
-    def grid_row(n: int, sigma_over_pi: float):
-        model = PhaseNoiseModel(sigma_rad=sigma_over_pi * math.pi)
-        mc = monte_carlo_fidelity(n, model, cfg.trials, cfg.seed)
-        exact = exact_mean_fidelity(n, model)
-        return (n, sigma_over_pi, mc.mean, mc.standard_error, exact, cfg.trials, cfg.seed)
-
-    for n in FIGURE3_N_RANGE:
-        rows.append(grid_row(n, FIGURE3_N_SWEEP_SIGMA_OVER_PI))
-    for sigma_over_pi in cfg.sigma_over_pi:
-        rows.append(grid_row(20, sigma_over_pi))
+    grid = [(n, FIGURE3_N_SWEEP_SIGMA_OVER_PI) for n in FIGURE3_N_RANGE]
+    grid += [(20, sigma_over_pi) for sigma_over_pi in cfg.sigma_over_pi]
+    points = [(n, PhaseNoiseModel(sigma_rad=sigma_over_pi * math.pi)) for n, sigma_over_pi in grid]
+    estimates = monte_carlo_fidelities(points, cfg.trials, cfg.seed)
+    rows = [
+        (n, sigma_over_pi, mc.mean, mc.standard_error, exact_mean_fidelity(n, model), cfg.trials, cfg.seed)
+        for (n, sigma_over_pi), (_, model), mc in zip(grid, points, estimates)
+    ]
 
     path = out / "fidelity.csv"
     write_csv(

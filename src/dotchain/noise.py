@@ -7,13 +7,22 @@ phase error in radians.
 
 Two estimators of the mean fidelity, kept deliberately independent:
 
-- monte_carlo_fidelity samples bond errors per trial and averages the
-  resulting fidelity to the ideal cluster. Trial t is stream t of the
-  noise domain of the counter-based Philox layout in rng: its bond errors
-  are the first n - 1 Box-Muller normals of counter blocks
-  t*w + 1 ... (t + 1)*w, w = ceil((n - 1) / 4), of key seed. A chunk of
-  consecutive trials is therefore one vectorised draw, and each trial's
-  value is independent of the trial count and of the chunking;
+- monte_carlo_fidelities samples bond errors per trial and averages the
+  resulting fidelity to the ideal cluster, for a whole grid of
+  (n, sigma) points at once; monte_carlo_fidelity and trial_fidelities are
+  its one-point views. Trial t is stream t of the noise domain of the
+  counter-based Philox layout in rng: its bond errors are sigma times the
+  first n - 1 Box-Muller normals of counter blocks t*w + 1 ... (t + 1)*w,
+  w = ceil((n - 1) / 4), of key seed. So every point of one seed and one
+  stream width w reads the same blocks for trial t, whatever its n and
+  sigma: the grid draws each chunk of trials once per width, and one
+  contraction up to the width's longest chain gives every shorter chain
+  as a prefix. Points that share trials have correlated estimates, as
+  separate calls with one seed always had. A chunk holds at most
+  TRIAL_CHUNK rows of sigma x trial, and at most (points of one width) x
+  trials x 8 B of per-trial fidelities are held at once. Each trial's
+  value is independent of the trial count, the chunking and the rest of
+  the grid;
 - exact_mean_fidelity integrates the Gaussian analytically. The average of
   exp(i delta (u - u')) over delta is exp(-sigma^2/2) whenever the bond
   occupations u, u' of a basis-state pair differ, so
@@ -29,12 +38,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import NOISE, normals
-from .state import MAX_QUBITS, ideal_cluster_fidelity
+from .rng import NOISE, normal_width, normals
+from .state import MAX_QUBITS, prefix_cluster_fidelities
 
-# Monte Carlo trials drawn and contracted together. Bounds the phase buffer
-# at TRIAL_CHUNK x bonds whatever the trial count; at 256 every per-chunk
-# array stays under 50 KB, so peak memory does not grow with the chunk.
+# Rows (sigma x trial) drawn and contracted together. Bounds the phase buffer
+# at TRIAL_CHUNK x bonds whatever the trial count and the number of sigmas; at
+# 256 every per-chunk array stays under 50 KB, so peak memory does not grow
+# with the chunk.
 TRIAL_CHUNK = 256
 
 
@@ -89,25 +99,71 @@ def sample_bond_errors(
     return sample_bond_error_batch(model, n_bonds, seed, stream, 1)[0]
 
 
+def _reduce_trial_fidelities(points, trials: int, seed: int, reduce) -> list:
+    """reduce(per-trial fidelities) of every (n_qubits, model) point, in order.
+
+    Serves one stream width at a time, as the module docstring describes, and
+    reduces a width's fidelity arrays before the next width starts.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    groups: dict[int, list[int]] = {}
+    for i, (n_qubits, _) in enumerate(points):
+        if not 2 <= n_qubits <= MAX_QUBITS:
+            raise ValueError(f"n_qubits must lie in [2, {MAX_QUBITS}], got {n_qubits}")
+        groups.setdefault(normal_width(n_qubits - 1), []).append(i)
+    results = [None] * len(points)
+    for members in groups.values():
+        sigmas = list(dict.fromkeys(points[i][1].sigma_rad for i in members))
+        row = {sigma: r for r, sigma in enumerate(sigmas)}
+        scale = np.array(sigmas)[:, np.newaxis, np.newaxis]
+        prefixes = sorted({points[i][0] - 1 for i in members})
+        fidelities = {i: np.empty(trials) for i in members}
+        count = max(1, TRIAL_CHUNK // len(sigmas))
+        for start in range(0, trials, count):
+            size = min(count, trials - start)
+            phases = np.pi + scale * normals(seed, NOISE, start, size, prefixes[-1])
+            by_prefix = dict(zip(prefixes, prefix_cluster_fidelities(phases, prefixes)))
+            for i in members:
+                n_qubits, model = points[i]
+                fidelities[i][start : start + size] = by_prefix[n_qubits - 1][row[model.sigma_rad]]
+        for i in members:
+            results[i] = reduce(fidelities.pop(i))
+    return results
+
+
 def trial_fidelities(
     n_qubits: int, model: PhaseNoiseModel, trials: int, seed: int
 ) -> np.ndarray:
     """Fidelity to the ideal cluster of each Monte Carlo trial.
 
-    Trials are drawn and contracted TRIAL_CHUNK at a time, so the
-    trials x bonds phase buffer is never built whole. Entry t depends only
-    on (n_qubits, model, seed, t), not on the trial count or the chunking.
+    The one-point view of the grid estimator: trials are drawn and
+    contracted TRIAL_CHUNK at a time, so the trials x bonds phase buffer is
+    never built whole. Entry t depends only on (n_qubits, model, seed, t),
+    not on the trial count, the chunking or the other points of a grid.
     """
-    if not 2 <= n_qubits <= MAX_QUBITS:
-        raise ValueError(f"n_qubits must lie in [2, {MAX_QUBITS}], got {n_qubits}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    fidelities = np.empty(trials)
-    for start in range(0, trials, TRIAL_CHUNK):
-        count = min(TRIAL_CHUNK, trials - start)
-        phases = sample_bond_error_batch(model, n_qubits - 1, seed, start, count)
-        fidelities[start : start + count] = ideal_cluster_fidelity(phases)
-    return fidelities
+    return _reduce_trial_fidelities([(n_qubits, model)], trials, seed, np.asarray)[0]
+
+
+def monte_carlo_fidelities(points, trials: int, seed: int) -> list[FidelityEstimate]:
+    """Sampled mean fidelity of each (n_qubits, model) point of a grid, in order.
+
+    Point by point, bit-identical to monte_carlo_fidelity: every point reads
+    trials 0 .. trials - 1 of the seed, so points of one stream width share
+    their trials (and are correlated), and each trial is drawn once per
+    width and contracted once per distinct sigma of that width.
+    """
+    if trials < 100:
+        raise ValueError(f"trials must be >= 100, got {trials}")
+
+    def estimate(fidelities: np.ndarray) -> FidelityEstimate:
+        mean = float(np.mean(fidelities))
+        stderr = float(np.std(fidelities, ddof=1) / math.sqrt(trials))
+        # Guard against rounding just past 1 in the sigma = 0 case.
+        mean = min(mean, 1.0)
+        return FidelityEstimate(mean=mean, standard_error=stderr, n_trials=trials, base_seed=seed)
+
+    return _reduce_trial_fidelities(list(points), trials, seed, estimate)
 
 
 def monte_carlo_fidelity(
@@ -115,19 +171,13 @@ def monte_carlo_fidelity(
 ) -> FidelityEstimate:
     """Sampled mean fidelity of the noisy preparation to the ideal cluster.
 
-    Per-trial fidelity is evaluated through the O(n) bond-phase overlap
-    (ideal_cluster_fidelity), which equals the dense-state computation
-    exactly; at n = 20 and 1e5 trials the dense route would take the better
-    part of an hour. Bit-identical for identical (n, model, trials, seed).
+    The one-point view of monte_carlo_fidelities. Per-trial fidelity is
+    evaluated through the O(n) bond-phase overlap (ideal_cluster_fidelity),
+    which equals the dense-state computation exactly; at n = 20 and 1e5
+    trials the dense route would take the better part of an hour.
+    Bit-identical for identical (n, model, trials, seed).
     """
-    if trials < 100:
-        raise ValueError(f"trials must be >= 100, got {trials}")
-    fidelities = trial_fidelities(n_qubits, model, trials, seed)
-    mean = float(np.mean(fidelities))
-    stderr = float(np.std(fidelities, ddof=1) / math.sqrt(trials))
-    # Guard against rounding just past 1 in the sigma = 0 case.
-    mean = min(mean, 1.0)
-    return FidelityEstimate(mean=mean, standard_error=stderr, n_trials=trials, base_seed=seed)
+    return monte_carlo_fidelities([(n_qubits, model)], trials, seed)[0]
 
 
 def _pair_transfer_matrix(sigma_rad: float) -> np.ndarray:

@@ -92,14 +92,18 @@ def uniforms(
     return ((words >> 12) + 0.5) * 2.0**-52
 
 
+def normal_width(per_stream: int) -> int:
+    """Blocks a stream of per_stream normals reads: two normals a word pair."""
+    return -(-per_stream // WORDS_PER_BLOCK)
+
+
 def normals(
     base_seed: int, domain: int, first_stream: int, n_streams: int, per_stream: int
 ) -> np.ndarray:
     """Standard normals, shape (n_streams, per_stream), one row per stream."""
     if per_stream < 1:
         raise ValueError(f"per_stream must be >= 1, got {per_stream}")
-    width = -(-per_stream // WORDS_PER_BLOCK)
-    u = uniforms(base_seed, domain, first_stream, n_streams, width)
+    u = uniforms(base_seed, domain, first_stream, n_streams, normal_width(per_stream))
     radius = np.sqrt(-2.0 * np.log(u[:, 0::2]))
     angle = 2.0 * np.pi * u[:, 1::2]
     z = np.stack((radius * np.cos(angle), radius * np.sin(angle)), axis=-1)

@@ -6,10 +6,12 @@ CSV dump. The entangling evolution is diagonal: basis state z picks up
 exp(i * sum_b phi_b * z_b * z_{b+1}) for bond phases phi. All operations
 return new states and preserve the norm.
 
-Capped at 24 qubits. The dense engine serves measurement, state CSV dumps
-and the oracle tests. A chain prepared by Ising phases alone needs none of
-it: ideal_cluster_fidelity and cluster_stabilizers verify it in O(n) from
-its bond phases, which is how the prepare command checks its chain.
+Capped at 24 qubits. The dense engine serves measurement and the oracle
+tests; write_state_csv can dump a state, but no command writes one. A chain
+prepared by Ising phases alone needs none of it: ideal_cluster_fidelity and
+cluster_stabilizers verify it in O(n) from its bond phases, which is how the
+prepare command checks its chain and figure3 scores its noisy trials. The
+O(n) contraction rescales every step, so it has no qubit cap of its own.
 """
 
 from __future__ import annotations
@@ -136,19 +138,42 @@ def ideal_cluster_fidelity(bond_phases) -> np.ndarray | float:
     to machine precision; the dense route is the test oracle for this one.
     """
     phases = np.asarray(bond_phases, dtype=float)
+    (fidelity,) = prefix_cluster_fidelities(phases, phases.shape[-1:])
+    return fidelity
+
+
+def prefix_cluster_fidelities(bond_phases, prefixes) -> list:
+    """Fidelity to the ideal cluster of each prefix chain of the given bonds.
+
+    Prefix k keeps the first k bonds, a chain of k + 1 qubits, so one
+    left-to-right contraction up to the longest prefix yields every shorter
+    chain on the way; the result lists one ideal_cluster_fidelity value per
+    entry of prefixes, in order. Each step halves the partial sums, so the
+    overlap 2^-n * sum_z(...) is carried as (w0 + w1) / 2 and never
+    overflows; halving is exact, so the values equal the unscaled sum
+    divided by 2^n. A 1-d input keeps numpy's scalar arithmetic per bond,
+    which can differ in the last bit from the same vector as a batch row.
+    """
+    phases = np.asarray(bond_phases, dtype=float)
     if phases.ndim == 0:
         raise ValueError("bond phases must have a bond axis")
-    deltas = phases - math.pi
-    n = phases.shape[-1] + 1
-    shape = phases.shape[:-1]
-    w0 = np.ones(shape, dtype=np.complex128)
-    w1 = np.ones(shape, dtype=np.complex128)
-    for b in range(n - 1):
-        twist = np.exp(1j * deltas[..., b])
-        w0, w1 = w0 + w1, w0 + w1 * twist
-    overlap = (w0 + w1) / 2.0**n
-    fidelity = np.abs(overlap) ** 2
-    return float(fidelity) if fidelity.ndim == 0 else fidelity
+    prefixes = list(prefixes)
+    if any(not 0 <= k <= phases.shape[-1] for k in prefixes):
+        raise ValueError(f"prefixes must lie in [0, {phases.shape[-1]}], got {prefixes}")
+    wanted = set(prefixes)
+    last = max(wanted, default=0)
+    rotations = 1j * (phases - math.pi)  # exact: real part 0, imaginary part the delta
+    w0 = np.ones(phases.shape[:-1], dtype=np.complex128)
+    w1 = np.ones(phases.shape[:-1], dtype=np.complex128)
+    fidelities = {}
+    for b in range(last + 1):
+        half = (w0 + w1) * 0.5  # overlap of the chain of the first b bonds
+        if b in wanted:
+            fidelity = np.abs(half) ** 2
+            fidelities[b] = float(fidelity) if fidelity.ndim == 0 else fidelity
+        if b < last:
+            w0, w1 = half, (w0 + w1 * np.exp(rotations[..., b])) * 0.5
+    return [fidelities[k] for k in prefixes]
 
 
 def cluster_stabilizers(bond_phases) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the code paths under test: the phase
 integral is a fixed-step trapezoid over inlined formulas, operators are
-kron-built dense matrices, the mean fidelity is a 4^n enumeration.
+kron-built dense matrices, the mean fidelity is a 4^n enumeration, and a
+Monte Carlo grid point is estimated alone, by drawing and contracting its
+own trials.
 """
 
 from __future__ import annotations
@@ -11,6 +13,9 @@ import math
 from itertools import product
 
 import numpy as np
+
+from dotchain.noise import TRIAL_CHUNK, PhaseNoiseModel, sample_bond_error_batch
+from dotchain.state import ideal_cluster_fidelity
 
 HBAR_MEV_NS = 6.582119e-16 * 1e12
 I2 = np.eye(2)
@@ -89,3 +94,19 @@ def brute_mean_fidelity(n: int, sigma_rad: float) -> float:
                 disagreements += 1
         total += q**disagreements
     return total / 4.0**n
+
+
+def per_point_monte_carlo(n: int, sigma_rad: float, trials: int, seed: int) -> tuple[float, float]:
+    """Mean fidelity and its standard error for one grid point on its own.
+
+    Draws and contracts TRIAL_CHUNK trials at a time, with no trial shared
+    with any other point, then reduces with np.mean and np.std(ddof=1).
+    """
+    model = PhaseNoiseModel(sigma_rad)
+    fidelities = np.empty(trials)
+    for start in range(0, trials, TRIAL_CHUNK):
+        count = min(TRIAL_CHUNK, trials - start)
+        phases = sample_bond_error_batch(model, n - 1, seed, start, count)
+        fidelities[start : start + count] = ideal_cluster_fidelity(phases)
+    mean = min(float(np.mean(fidelities)), 1.0)  # a mean fidelity is at most 1
+    return mean, float(np.std(fidelities, ddof=1) / math.sqrt(trials))

@@ -15,8 +15,10 @@ from dotchain import plateau_coupling, solve_hold_time
 from dotchain.cli import main
 from dotchain.config import config_from_strings, load_config_file
 from dotchain.harness import run_figure2, run_figure3, run_measure_demo, run_prepare
+from dotchain.noise import TRIAL_CHUNK
+from dotchain.rng import normal_width
 
-from oracles import kron_chain, P_ONE
+from oracles import kron_chain, P_ONE, per_point_monte_carlo
 
 
 def read_csv(path):
@@ -93,6 +95,46 @@ def test_figure3_grid(tmp_path):
     # sigma = 0 row: both estimators exactly 1
     assert float(sigma_rows[0][2]) == 1.0
     assert float(sigma_rows[0][4]) == 1.0
+
+
+@pytest.mark.parametrize("trials", [100, 257, 2001])
+def test_figure3_rows_match_per_point_oracle(tmp_path, trials):
+    # 0.03 repeats the n-sweep's n = 20 row and appears twice in the list
+    sigmas = [0.0, 0.03, 0.07, 0.03, 0.1]
+    cfg = cfg_with(trials=trials, seed=41, sigma_over_pi=",".join(map(str, sigmas)))
+    _, rows = read_csv(run_figure3(cfg, tmp_path)["fidelity"])
+    grid = [(n, 0.03) for n in range(2, 21)] + [(20, s) for s in sigmas]
+    assert [(int(r[0]), float(r[1])) for r in rows] == grid
+    for row, (n, sigma_over_pi) in zip(rows, grid):
+        oracle = per_point_monte_carlo(n, sigma_over_pi * math.pi, trials, 41)
+        assert (float(row[2]), float(row[3])) == oracle
+
+
+def test_figure3_draws_each_trial_once_per_width(tmp_path, monkeypatch):
+    import dotchain.noise as noise
+
+    calls = []
+    draw = noise.normals
+
+    def counted(seed, domain, first_stream, n_streams, per_stream):
+        calls.append((normal_width(per_stream), first_stream, n_streams))
+        return draw(seed, domain, first_stream, n_streams, per_stream)
+
+    monkeypatch.setattr(noise, "normals", counted)
+    trials = 600
+    cfg = cfg_with(trials=trials, seed=3)  # the default sigma grid
+    run_figure3(cfg, tmp_path)
+
+    sigmas_of_width = {}
+    for n, sigma in [(n, 0.03) for n in range(2, 21)] + [(20, s) for s in cfg.sigma_over_pi]:
+        sigmas_of_width.setdefault(normal_width(n - 1), set()).add(sigma)
+    for width in sigmas_of_width:
+        streams = [t for w, first, count in calls if w == width for t in range(first, first + count)]
+        assert sorted(streams) == list(range(trials))
+    # 1 + 2 + 3 + 4 + 5 blocks a trial; 110 when every row drew its own trials
+    assert sum(width * count for width, _, count in calls) == 15 * trials
+    for width, _, count in calls:
+        assert count * len(sigmas_of_width[width]) <= TRIAL_CHUNK
 
 
 def test_prepare_defaults(tmp_path):

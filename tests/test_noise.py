@@ -11,6 +11,7 @@ from dotchain import (
     ideal_cluster,
     init_plus_chain,
     ideal_cluster_fidelity,
+    monte_carlo_fidelities,
     monte_carlo_fidelity,
     sample_bond_error_batch,
     sample_bond_errors,
@@ -145,6 +146,19 @@ def test_monte_carlo_matches_dense_route():
         fidelities.append(state_fidelity(ideal, noisy))
     est = monte_carlo_fidelity(n, model, trials=300, seed=seed)
     assert est.mean == pytest.approx(float(np.mean(fidelities)), abs=1e-12)
+
+
+def test_grid_points_equal_single_point_calls():
+    # widths 1, 3 and 5, a repeated point and a repeated sigma, out of order
+    points = [(20, 0.05), (3, 0.03), (10, 0.0), (20, 0.03), (18, 0.03), (3, 0.03), (12, 0.05)]
+    models = [(n, PhaseNoiseModel(s * math.pi)) for n, s in points]
+    estimates = monte_carlo_fidelities(models, trials=300, seed=37)
+    assert estimates == [monte_carlo_fidelity(n, m, trials=300, seed=37) for n, m in models]
+    assert monte_carlo_fidelities([], trials=300, seed=37) == []
+    with pytest.raises(ValueError):
+        monte_carlo_fidelities(models, trials=99, seed=37)
+    with pytest.raises(ValueError):
+        monte_carlo_fidelities(models + [(25, models[0][1])], trials=300, seed=37)
 
 
 def test_exact_zero_sigma():

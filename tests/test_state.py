@@ -17,6 +17,7 @@ from dotchain import (
     stabilizer_expectation,
     write_state_csv,
 )
+from dotchain.state import prefix_cluster_fidelities
 
 from conftest import random_state
 from oracles import ising_hamiltonian, stabilizer_operator
@@ -242,6 +243,32 @@ def test_fast_cluster_fidelity_batched():
     assert values.shape == (7,)
     for row, value in zip(batch, values):
         assert ideal_cluster_fidelity(row) == pytest.approx(float(value), abs=1e-14)
+
+
+def test_cluster_fidelity_does_not_overflow():
+    # 2^n overflows a double past n = 1023, so the contraction must rescale as it goes
+    assert ideal_cluster_fidelity(np.full(1100, math.pi)) == 1.0
+    phases = math.pi + np.random.default_rng(33).normal(0.0, 0.03 * math.pi, 10_000)
+    value = ideal_cluster_fidelity(phases)
+    assert math.isfinite(value) and 0.0 < value <= 1.0
+    rows = ideal_cluster_fidelity(np.stack([phases, phases[::-1]]))
+    assert np.all(np.isfinite(rows)) and np.all((0.0 < rows) & (rows <= 1.0))
+
+
+def test_prefix_fidelities_equal_truncated_chains():
+    rng = np.random.default_rng(34)
+    batch = math.pi + rng.normal(0.0, 0.3, size=(3, 5, 9))
+    prefixes = [9, 0, 4, 4, 1]
+    for k, values in zip(prefixes, prefix_cluster_fidelities(batch, prefixes)):
+        assert values.shape == (3, 5)
+        assert np.array_equal(values, ideal_cluster_fidelity(batch[..., :k]))
+    vector = batch[0, 0]
+    for k, value in zip(prefixes, prefix_cluster_fidelities(vector, prefixes)):
+        assert value == ideal_cluster_fidelity(vector[:k])
+    with pytest.raises(ValueError):
+        prefix_cluster_fidelities(vector, [10])
+    with pytest.raises(ValueError):
+        prefix_cluster_fidelities(math.pi, [0])
 
 
 def test_global_phase_insensitivity():
