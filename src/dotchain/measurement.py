@@ -15,8 +15,16 @@ schedule_rounds makes violating that unrepresentable.
 
 One kernel applies every projector P to qubit q: with the amplitudes viewed
 as (2**q, 2, 2**(n-q-1)), output half j is psi[:, 0]*P[j, 0] + psi[:, 1]*P[j, 1].
-Each public call checks its input state once (post-states built here were
-validated by ChainState); run_schedule draws all its uniforms in one call.
+One helper builds P = (I + o*M(axis))/2 as that column pair; the pairs of
+the three named axes and both outcomes are built once, at import, and any
+other axis is built per use by the same helper. run_schedule resolves every
+scheduled qubit's axis before it draws: an axis equal to a named one needs
+no further check, any other is validated by MeasurementSpec, and a missing
+axis is refused. It then draws all its uniforms in one call and carries one
+post-state from measurement to measurement. measure, project and
+run_schedule share the kernel and the projector lookup, and measure and
+run_schedule share one sampler. Each public call checks its input state
+once (post-states built here were validated by ChainState).
 """
 
 from __future__ import annotations
@@ -78,6 +86,8 @@ class RoundSchedule:
         seen = set()
         for rnd in self.rounds:
             for q in rnd:
+                if q < 0:
+                    raise ValueError(f"qubit index must be >= 0, got {q}")
                 if q in seen:
                     raise ValueError(f"qubit {q} scheduled more than once")
                 seen.add(q)
@@ -91,11 +101,43 @@ class RoundSchedule:
         return tuple(q for rnd in self.rounds for q in rnd)
 
 
-def _apply_on_qubit(amps: np.ndarray, mat: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    """The 2x2 mat applied to one qubit, which is axis 1 of the view below."""
+def _projector_columns(axis, outcome: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns P[:, :1] and P[:, 1:] of P = (I + outcome * M(axis)) / 2."""
+    nx, ny, nz = axis
+    mat = outcome * np.array([[-nz, nx + 1j * ny], [nx - 1j * ny, nz]])
+    projector = (np.eye(2) + mat) / 2.0
+    return projector[:, :1], projector[:, 1:]
+
+
+_NAMED_PROJECTORS = {
+    (axis, outcome): _projector_columns(axis, outcome)
+    for axis in NAMED_AXES.values()
+    for outcome in (-1, +1)
+}
+
+
+def _projector(axis, outcome: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column pair of P for a validated axis: from the table if the axis is named."""
+    columns = _NAMED_PROJECTORS.get((axis, outcome))
+    return columns if columns is not None else _projector_columns(axis, outcome)
+
+
+def _scheduled_projector(bases, qubit: int) -> tuple[np.ndarray, np.ndarray]:
+    """P+ column pair of a scheduled qubit's axis, refusing a missing or invalid axis."""
+    try:
+        axis = tuple(bases[qubit])
+    except LookupError:
+        raise ValueError(f"bases has no axis for scheduled qubit {qubit}") from None
+    if (axis, +1) not in _NAMED_PROJECTORS:
+        axis = MeasurementSpec(qubit, axis).basis
+    return _projector(axis, +1)
+
+
+def _apply_on_qubit(amps: np.ndarray, columns, qubit: int, n: int) -> np.ndarray:
+    """The 2x2 P with the given columns applied to one qubit, axis 1 of the view below."""
     psi = amps.reshape(2**qubit, 2, 2 ** (n - qubit - 1))
-    # broadcast over j: out[:, j] = psi[:, 0]*mat[j, 0] + psi[:, 1]*mat[j, 1]
-    out = psi[:, :1] * mat[:, :1] + psi[:, 1:] * mat[:, 1:]
+    # broadcast over j: out[:, j] = psi[:, 0]*P[j, 0] + psi[:, 1]*P[j, 1]
+    out = psi[:, :1] * columns[0] + psi[:, 1:] * columns[1]
     out += 0.0  # -0.0 -> +0.0, as in a sum accumulated from zero
     return out.reshape(-1)
 
@@ -107,13 +149,6 @@ def _check(state: ChainState, qubits) -> None:
             raise ValueError(f"qubit {q} out of range for {state.n_qubits} qubits")
     if abs(state.norm() - 1.0) > NORM_ATOL:
         raise ValueError("state is not normalized")
-
-
-def _branch(state: ChainState, spec: MeasurementSpec, outcome: int) -> np.ndarray:
-    """Unnormalized P psi of a checked state, P = (I + outcome * M(axis)) / 2."""
-    nx, ny, nz = spec.basis
-    mat = outcome * np.array([[-nz, nx + 1j * ny], [nx - 1j * ny, nz]])
-    return _apply_on_qubit(state.amplitudes, (np.eye(2) + mat) / 2.0, spec.qubit, state.n_qubits)
 
 
 def _probability(branch: np.ndarray) -> float:
@@ -135,21 +170,22 @@ def project(
     if outcome not in (-1, +1):
         raise ValueError(f"outcome must be +-1, got {outcome}")
     _check(state, (spec.qubit,))
-    branch = _branch(state, spec, outcome)
+    n = state.n_qubits
+    branch = _apply_on_qubit(state.amplitudes, _projector(spec.basis, outcome), spec.qubit, n)
     prob = _probability(branch)
-    return prob, _collapse(state.n_qubits, branch, prob)
+    return prob, _collapse(n, branch, prob)
 
 
-def _sample(state: ChainState, spec: MeasurementSpec, u: float) -> MeasurementRecord:
-    """Outcome +1 when the uniform u falls below p+; the state is not re-checked."""
-    plus = _branch(state, spec, +1)
+def _sample(n: int, amps: np.ndarray, qubit: int, plus_columns, u: float) -> MeasurementRecord:
+    """Outcome +1 when the uniform u falls below p+; amps is not re-checked."""
+    plus = _apply_on_qubit(amps, plus_columns, qubit, n)
     p_plus = _probability(plus)
     if u < p_plus:
         outcome, branch, prob = +1, plus, p_plus
     else:
-        branch = state.amplitudes - plus
+        branch = amps - plus
         outcome, prob = -1, _probability(branch)
-    return MeasurementRecord(spec.qubit, outcome, prob, _collapse(state.n_qubits, branch, prob))
+    return MeasurementRecord(qubit, outcome, prob, _collapse(n, branch, prob))
 
 
 def measure(
@@ -163,7 +199,8 @@ def measure(
     cancels when p+ is close to 1. Only the sampled branch is normalized.
     """
     _check(state, (spec.qubit,))
-    return _sample(state, spec, uniforms(seed, MEASUREMENT, stream, 1)[0, 0])
+    u = uniforms(seed, MEASUREMENT, stream, 1)[0, 0]
+    return _sample(state.n_qubits, state.amplitudes, spec.qubit, _projector(spec.basis, +1), u)
 
 
 def schedule_rounds(requested) -> RoundSchedule:
@@ -176,8 +213,6 @@ def schedule_rounds(requested) -> RoundSchedule:
     qubits = list(requested)
     if len(set(qubits)) != len(qubits):
         raise ValueError("requested qubit indices must be distinct")
-    if any(q < 0 for q in qubits):
-        raise ValueError("qubit indices must be >= 0")
     ordered = sorted(qubits)
     if any(b - a == 1 for a, b in zip(ordered, ordered[1:])):
         rounds = (tuple(q for q in ordered if q % 2 == 0), tuple(q for q in ordered if q % 2 == 1))
@@ -194,15 +229,21 @@ def run_schedule(
     Within a round the projectors act on non-adjacent qubits and commute, so
     the intra-round order cannot change any joint outcome probability (the
     tests check this by enumeration). bases maps qubit index to a Bloch
-    axis. Measurement t uses stream t of the seed: one draw of k streams
-    serves all k measurements. Only the input state is checked; the
-    post-states that follow were built, and validated, by this call.
+    axis; every scheduled qubit's axis is resolved, and a missing or invalid
+    one refused, before anything is drawn or measured. Measurement t uses
+    stream t of the seed: one draw of k streams serves all k measurements.
+    Only the input state is checked; each later measurement samples the
+    post-state of the one before it, which this call built and ChainState
+    validated.
     """
-    _check(state, schedule.qubits)
     order = [q for rnd in schedule.rounds for q in sorted(rnd)]
+    _check(state, order)
+    projectors = [_scheduled_projector(bases, q) for q in order]
     draws = uniforms(seed, MEASUREMENT, 0, len(order))[:, 0] if order else ()
     records: list[MeasurementRecord] = []
-    for q, u in zip(order, draws):
-        current = records[-1].post_state if records else state
-        records.append(_sample(current, MeasurementSpec(qubit=q, basis=tuple(bases[q])), u))
+    current = state
+    for q, plus_columns, u in zip(order, projectors, draws):
+        record = _sample(state.n_qubits, current.amplitudes, q, plus_columns, u)
+        records.append(record)
+        current = record.post_state
     return records

@@ -196,12 +196,15 @@ def exact_mean_fidelity(n_qubits: int, model: PhaseNoiseModel) -> float:
 
     Contracts the pair-chain transfer matrix n-1 times; agrees with the
     brute-force 4^n double sum (the test oracle for n <= 6) to machine
-    precision, and with monte_carlo_fidelity within sampling error.
+    precision, and with monte_carlo_fidelity within sampling error. Each
+    step divides by 4, so the 4^-n normalisation is carried along and the
+    contraction cannot overflow; scaling by a power of two is exact, so the
+    value equals the unscaled sum divided by 4^n.
     """
     if not 2 <= n_qubits <= MAX_QUBITS:
         raise ValueError(f"n_qubits must lie in [2, {MAX_QUBITS}], got {n_qubits}")
     t = _pair_transfer_matrix(model.sigma_rad)
-    v = np.ones(4)
+    v = np.ones(4) / 4.0
     for _ in range(n_qubits - 1):
-        v = t @ v
-    return float(v.sum() / 4.0**n_qubits)
+        v = (t @ v) * 0.25
+    return float(v.sum())

@@ -46,7 +46,7 @@ class ChainState:
             raise ValueError(f"state norm {self.norm()} is not 1 within {NORM_ATOL}")
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return math.sqrt(np.vdot(self.amplitudes, self.amplitudes).real)
 
     def copy(self) -> "ChainState":
         return ChainState(self.n_qubits, self.amplitudes.copy())

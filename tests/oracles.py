@@ -4,7 +4,10 @@ Everything here deliberately avoids the code paths under test: the phase
 integral is a fixed-step trapezoid over inlined formulas, operators are
 kron-built dense matrices, the mean fidelity is a 4^n enumeration, and a
 Monte Carlo grid point is estimated alone, by drawing and contracting its
-own trials.
+own trials. Two loops are kept in the form they had before they were
+optimised, as byte-identity references: the measurement loop that builds a
+MeasurementSpec and the projector for every measurement, and the mean
+fidelity contraction that divides by 4^n at the end.
 """
 
 from __future__ import annotations
@@ -14,8 +17,10 @@ from itertools import product
 
 import numpy as np
 
+from dotchain.measurement import MeasurementRecord, MeasurementSpec
 from dotchain.noise import TRIAL_CHUNK, PhaseNoiseModel, sample_bond_error_batch
-from dotchain.state import ideal_cluster_fidelity
+from dotchain.rng import MEASUREMENT, uniforms
+from dotchain.state import NORM_ATOL, ChainState, ideal_cluster_fidelity
 
 HBAR_MEV_NS = 6.582119e-16 * 1e12
 I2 = np.eye(2)
@@ -110,3 +115,95 @@ def per_point_monte_carlo(n: int, sigma_rad: float, trials: int, seed: int) -> t
         fidelities[start : start + count] = ideal_cluster_fidelity(phases)
     mean = min(float(np.mean(fidelities)), 1.0)  # a mean fidelity is at most 1
     return mean, float(np.std(fidelities, ddof=1) / math.sqrt(trials))
+
+
+def unscaled_mean_fidelity(n_qubits: int, sigma_rad: float) -> float:
+    """Pair-chain transfer-matrix average, with one division by 4^n at the end."""
+    q = math.exp(-0.5 * sigma_rad * sigma_rad)
+    states = ((0, 0), (0, 1), (1, 0), (1, 1))
+    t = np.empty((4, 4))
+    for i, (z, zp) in enumerate(states):
+        for j, (w, wp) in enumerate(states):
+            t[i, j] = q if (z & w) != (zp & wp) else 1.0
+    v = np.ones(4)
+    for _ in range(n_qubits - 1):
+        v = t @ v
+    return float(v.sum() / 4.0**n_qubits)
+
+
+# The measurement loop that builds a MeasurementSpec and P for every
+# measurement and carries ChainStates from record to record.
+
+
+def _apply_on_qubit(amps: np.ndarray, mat: np.ndarray, qubit: int, n: int) -> np.ndarray:
+    """The 2x2 mat applied to one qubit, which is axis 1 of the view below."""
+    psi = amps.reshape(2**qubit, 2, 2 ** (n - qubit - 1))
+    # broadcast over j: out[:, j] = psi[:, 0]*mat[j, 0] + psi[:, 1]*mat[j, 1]
+    out = psi[:, :1] * mat[:, :1] + psi[:, 1:] * mat[:, 1:]
+    out += 0.0  # -0.0 -> +0.0, as in a sum accumulated from zero
+    return out.reshape(-1)
+
+
+def _check(state: ChainState, qubits) -> None:
+    """The one input check of a public call: qubit range and state norm."""
+    for q in qubits:
+        if q >= state.n_qubits:
+            raise ValueError(f"qubit {q} out of range for {state.n_qubits} qubits")
+    if abs(state.norm() - 1.0) > NORM_ATOL:
+        raise ValueError("state is not normalized")
+
+
+def _branch(state: ChainState, spec: MeasurementSpec, outcome: int) -> np.ndarray:
+    """Unnormalized P psi of a checked state, P = (I + outcome * M(axis)) / 2."""
+    nx, ny, nz = spec.basis
+    mat = outcome * np.array([[-nz, nx + 1j * ny], [nx - 1j * ny, nz]])
+    return _apply_on_qubit(state.amplitudes, (np.eye(2) + mat) / 2.0, spec.qubit, state.n_qubits)
+
+
+def _probability(branch: np.ndarray) -> float:
+    return min(max(float(np.vdot(branch, branch).real), 0.0), 1.0)
+
+
+def _collapse(n: int, branch: np.ndarray, prob: float) -> ChainState | None:
+    return ChainState(n, branch / math.sqrt(prob)) if prob > 0.0 else None
+
+
+def spec_loop_project(
+    state: ChainState, spec: MeasurementSpec, outcome: int
+) -> tuple[float, ChainState | None]:
+    if outcome not in (-1, +1):
+        raise ValueError(f"outcome must be +-1, got {outcome}")
+    _check(state, (spec.qubit,))
+    branch = _branch(state, spec, outcome)
+    prob = _probability(branch)
+    return prob, _collapse(state.n_qubits, branch, prob)
+
+
+def _sample(state: ChainState, spec: MeasurementSpec, u: float) -> MeasurementRecord:
+    """Outcome +1 when the uniform u falls below p+; the state is not re-checked."""
+    plus = _branch(state, spec, +1)
+    p_plus = _probability(plus)
+    if u < p_plus:
+        outcome, branch, prob = +1, plus, p_plus
+    else:
+        branch = state.amplitudes - plus
+        outcome, prob = -1, _probability(branch)
+    return MeasurementRecord(spec.qubit, outcome, prob, _collapse(state.n_qubits, branch, prob))
+
+
+def spec_loop_measure(
+    state: ChainState, spec: MeasurementSpec, seed: int, stream: int = 0
+) -> MeasurementRecord:
+    _check(state, (spec.qubit,))
+    return _sample(state, spec, uniforms(seed, MEASUREMENT, stream, 1)[0, 0])
+
+
+def spec_loop_run_schedule(state: ChainState, schedule, bases, seed: int) -> list[MeasurementRecord]:
+    _check(state, schedule.qubits)
+    order = [q for rnd in schedule.rounds for q in sorted(rnd)]
+    draws = uniforms(seed, MEASUREMENT, 0, len(order))[:, 0] if order else ()
+    records: list[MeasurementRecord] = []
+    for q, u in zip(order, draws):
+        current = records[-1].post_state if records else state
+        records.append(_sample(current, MeasurementSpec(qubit=q, basis=tuple(bases[q])), u))
+    return records

@@ -17,11 +17,22 @@ from dotchain import (
     run_schedule,
     schedule_rounds,
 )
+from dotchain import measurement
+from dotchain.config import config_from_strings
+from dotchain.harness import prepare_chain
 from dotchain.measurement import NAMED_AXES, X_AXIS, Z_AXIS
 from dotchain.rng import MEASUREMENT, uniforms
 
 from conftest import random_state
-from oracles import I2, PAULI_X, PAULI_Z, kron_chain
+from oracles import (
+    I2,
+    PAULI_X,
+    PAULI_Z,
+    kron_chain,
+    spec_loop_measure,
+    spec_loop_project,
+    spec_loop_run_schedule,
+)
 
 PAULI_Y = np.array([[0.0, -1j], [1j, 0.0]])
 
@@ -252,6 +263,107 @@ def test_run_schedule_equals_measure_loop():
                 assert record.post_state.amplitudes.tobytes() == expected.post_state.amplitudes.tobytes()
                 current, stream = expected.post_state, stream + 1
         assert stream == len(records) == 6
+
+
+def _record_bytes(record):
+    post = None if record.post_state is None else record.post_state.amplitudes.tobytes()
+    return record.qubit, record.outcome, repr(record.probability), post
+
+
+# Axes as a caller may pass them: named tuples, random unit axes, int-valued
+# and signed-zero spellings of named axes, and numpy arrays.
+AXIS_KINDS = ("named", "unit", "int", "negative_zero", "array_named", "array_unit")
+SIGNED_ZERO_AXES = ((-0.0, 0.0, 1.0), (1.0, -0.0, -0.0), (-0.0, 1.0, 0.0), (0.0, -0.0, -1.0))
+
+
+def _axis_of_kind(kind, rng):
+    named = NAMED_AXES[("x", "y", "z")[int(rng.integers(0, 3))]]
+    if kind == "named":
+        return named
+    if kind == "unit":
+        return _random_axis(rng)
+    if kind == "int":
+        return tuple(int(c) for c in named)
+    if kind == "negative_zero":
+        return SIGNED_ZERO_AXES[int(rng.integers(0, len(SIGNED_ZERO_AXES)))]
+    if kind == "array_named":
+        return np.array(named)
+    return np.array(_random_axis(rng))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    cluster=st.booleans(),
+    kinds=st.lists(st.sampled_from(AXIS_KINDS), min_size=12, max_size=12),
+    data=st.data(),
+)
+def test_measurement_bytes_match_spec_loop_oracle(n, seed, cluster, kinds, data):
+    # the projector table, the up-front axis check and the carried amplitude
+    # array change no byte of any record, probability or post-state
+    rng = np.random.default_rng(seed % 2**32)
+    state = ideal_cluster(n) if cluster else random_state(n, rng)
+    requested = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+    schedule = schedule_rounds(requested)
+    if data.draw(st.booleans()):
+        schedule = RoundSchedule(rounds=schedule.rounds[::-1])
+    bases = {q: _axis_of_kind(kinds[q], rng) for q in range(n)}
+    records = run_schedule(state, schedule, bases, seed)
+    expected = spec_loop_run_schedule(state, schedule, bases, seed)
+    assert [_record_bytes(r) for r in records] == [_record_bytes(r) for r in expected]
+    for stream, q in enumerate(schedule.qubits):
+        spec = MeasurementSpec(q, tuple(bases[q]))
+        got, want = measure(state, spec, seed, stream), spec_loop_measure(state, spec, seed, stream)
+        assert _record_bytes(got) == _record_bytes(want)
+        for outcome in (-1, +1):
+            (p, post), (p_want, post_want) = (
+                project(state, spec, outcome),
+                spec_loop_project(state, spec, outcome),
+            )
+            assert repr(p) == repr(p_want)
+            assert (post is None) == (post_want is None)
+            if post is not None:
+                assert post.amplitudes.tobytes() == post_want.amplitudes.tobytes()
+
+
+def test_run_schedule_refuses_missing_axis_before_measuring(monkeypatch):
+    draws = []
+    monkeypatch.setattr(measurement, "uniforms", lambda *args: draws.append(args))
+    state = ideal_cluster(4)
+    with pytest.raises(ValueError, match="qubit 1"):
+        run_schedule(state, schedule_rounds(range(4)), {0: Z_AXIS, 2: Z_AXIS, 3: Z_AXIS}, seed=0)
+    with pytest.raises(ValueError, match="normalized"):
+        run_schedule(state, schedule_rounds(range(4)), {q: (0.0, 0.0, 2.0) for q in range(4)}, seed=0)
+    assert draws == []
+
+
+def test_round_schedule_refuses_negative_qubit():
+    with pytest.raises(ValueError, match=">= 0"):
+        RoundSchedule(rounds=((-1,),))
+    with pytest.raises(ValueError, match=">= 0"):
+        RoundSchedule(rounds=((0, 2), (-3,)))
+
+
+def test_prepared_cluster_shots_keep_probabilities_in_range():
+    # the prepared cluster makes p+ exactly 1 (and its raw value land above
+    # 1 or at 0) for many named-axis measurements, so this fails if the
+    # clip in the probability or the own-norm p- is lost
+    n = 10
+    state, _ = prepare_chain(config_from_strings({"n_qubits": str(n), "seed": "1"}))
+    schedule = schedule_rounds(range(n))
+    rng = np.random.default_rng(7)
+    names = sorted(NAMED_AXES)
+    probabilities = []
+    for shot in range(500):
+        bases = {q: NAMED_AXES[names[int(rng.integers(0, 3))]] for q in range(n)}
+        records = run_schedule(state, schedule, bases, seed=shot)
+        assert len(records) == n
+        for record in records:
+            assert record.outcome in (-1, 1)
+            assert 0.0 < record.probability <= 1.0
+            probabilities.append(record.probability)
+    assert 1.0 in probabilities
 
 
 def test_run_schedule_rejects_denormalized_state():

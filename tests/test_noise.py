@@ -18,9 +18,10 @@ from dotchain import (
     state_fidelity,
     trial_fidelities,
 )
+from dotchain import noise
 from dotchain.noise import TRIAL_CHUNK
 
-from oracles import brute_mean_fidelity
+from oracles import brute_mean_fidelity, unscaled_mean_fidelity
 
 SIGMA = 0.03 * math.pi
 
@@ -177,6 +178,27 @@ def test_exact_matches_enumeration():
         exact = exact_mean_fidelity(n, PhaseNoiseModel(sigma))
         brute = brute_mean_fidelity(n, sigma)
         assert exact == pytest.approx(brute, rel=1e-12)
+
+
+def test_exact_matches_unscaled_contraction_bit_for_bit():
+    # dividing by 4 every step is exact, so no value moves in the last bit
+    rng = np.random.default_rng(8)
+    for _ in range(600):
+        n = int(rng.integers(2, 25))
+        sigma = float(rng.uniform(0.0, 0.3 * math.pi))
+        assert exact_mean_fidelity(n, PhaseNoiseModel(sigma)) == unscaled_mean_fidelity(n, sigma)
+    for n in range(2, 25):
+        assert exact_mean_fidelity(n, PhaseNoiseModel(SIGMA)) == unscaled_mean_fidelity(n, SIGMA)
+
+
+def test_exact_mean_does_not_overflow(monkeypatch):
+    # 4^600 overflows a float; the per-step rescale never forms it
+    monkeypatch.setattr(noise, "MAX_QUBITS", 10**4)
+    model = PhaseNoiseModel(SIGMA)
+    long_chain = exact_mean_fidelity(600, model)
+    assert math.isfinite(long_chain) and 0.0 < long_chain < exact_mean_fidelity(20, model)
+    assert exact_mean_fidelity(10**4, model) == pytest.approx(6.05e-8, rel=1e-2)
+    assert exact_mean_fidelity(10**4, PhaseNoiseModel(0.0)) == 1.0
 
 
 def test_estimators_agree():
