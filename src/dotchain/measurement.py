@@ -125,11 +125,12 @@ def _projector(axis, outcome: int) -> tuple[np.ndarray, np.ndarray]:
 def _scheduled_projector(bases, qubit: int) -> tuple[np.ndarray, np.ndarray]:
     """P+ column pair of a scheduled qubit's axis, refusing a missing or invalid axis."""
     try:
-        axis = tuple(bases[qubit])
+        given = bases[qubit]
     except LookupError:
         raise ValueError(f"bases has no axis for scheduled qubit {qubit}") from None
+    axis = tuple(map(float, given))  # the conversion MeasurementSpec applies
     if (axis, +1) not in _NAMED_PROJECTORS:
-        axis = MeasurementSpec(qubit, axis).basis
+        MeasurementSpec(qubit, tuple(given))  # refuses a non-unit or non-finite axis
     return _projector(axis, +1)
 
 

@@ -335,6 +335,9 @@ def test_run_schedule_refuses_missing_axis_before_measuring(monkeypatch):
         run_schedule(state, schedule_rounds(range(4)), {0: Z_AXIS, 2: Z_AXIS, 3: Z_AXIS}, seed=0)
     with pytest.raises(ValueError, match="normalized"):
         run_schedule(state, schedule_rounds(range(4)), {q: (0.0, 0.0, 2.0) for q in range(4)}, seed=0)
+    # equal to the z axis, but refused like MeasurementSpec refuses it
+    with pytest.raises(TypeError):
+        run_schedule(state, schedule_rounds(range(4)), {q: (0j, 0j, 1 + 0j) for q in range(4)}, seed=0)
     assert draws == []
 
 
