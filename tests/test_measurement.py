@@ -300,8 +300,8 @@ def _axis_of_kind(kind, rng):
     data=st.data(),
 )
 def test_measurement_bytes_match_spec_loop_oracle(n, seed, cluster, kinds, data):
-    # the projector table, the up-front axis check and the carried amplitude
-    # array change no byte of any record, probability or post-state
+    # the projector table, the up-front axis check and the shared sampler
+    # change no byte of any record, probability or post-state
     rng = np.random.default_rng(seed % 2**32)
     state = ideal_cluster(n) if cluster else random_state(n, rng)
     requested = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
