@@ -47,6 +47,16 @@ def _overrides(seed, trials, qubits, sigma_over_pi) -> dict[str, str]:
     }
 
 
+# Override flags a command has no use for. Passing one is refused, so a
+# flag is never silently ignored.
+_UNUSED_FLAGS = {
+    run_figure2: ("--trials", "--qubits", "--sigma-over-pi"),
+    run_figure3: ("--qubits",),
+    run_prepare: ("--trials", "--sigma-over-pi"),
+    run_measure_demo: ("--trials", "--sigma-over-pi"),
+}
+
+
 @click.group()
 def main():
     """Cluster-state preparation in a double-quantum-dot qubit chain."""
@@ -58,7 +68,13 @@ def _run(command, config_path, out_dir, seed, trials, qubits, sigma_over_pi):
     Every failure to carry out a request exits 1 with its message.
     ConfigError and CalibrationError are ValueErrors, and so are the checks
     a valid config can still fail, such as a pulse too long to represent.
+    A flag the command does not use is refused before anything runs.
     """
+    given = {"--trials": trials, "--qubits": qubits, "--sigma-over-pi": sigma_over_pi}
+    for flag in _UNUSED_FLAGS[command]:
+        if given[flag] is not None:
+            name = click.get_current_context().info_name
+            raise click.ClickException(f"{flag} is not used by {name}")
     try:
         cfg = _load(config_path, _overrides(seed, trials, qubits, sigma_over_pi))
         return command(cfg, out_dir)

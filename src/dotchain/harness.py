@@ -114,10 +114,12 @@ def run_figure3(cfg: ExperimentConfig, out_dir) -> dict[str, Path]:
     from one monte_carlo_fidelities call. Every row reads trials
     0 .. trials - 1 of cfg.seed, and rows of one stream width
     ceil((n - 1) / 4) draw each trial once between them, so rows are
-    correlated, as they always were. The widest width holds n = 18..20 and
-    the whole sigma sweep, so at most (3 + len(sigma_over_pi)) x trials x 8 B
-    of per-trial fidelities are held at once. Rows follow the config order;
-    a repeated sigma repeats its row.
+    correlated, as they always were. Trials are drawn in chunks of
+    noise.CHUNK_ELEMENTS // max(distinct sigmas, bonds) and contracted one
+    bond at a time, so each per-chunk array stays within 128 KiB. The
+    widest width holds n = 18..20 and the whole sigma sweep, so at most
+    (3 + len(sigma_over_pi)) x trials x 8 B of per-trial fidelities are held
+    at once. Rows follow the config order; a repeated sigma repeats its row.
     """
     out = _ensure_out(out_dir)
     grid = [(n, FIGURE3_N_SWEEP_SIGMA_OVER_PI) for n in FIGURE3_N_RANGE]

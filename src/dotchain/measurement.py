@@ -44,6 +44,17 @@ Z_AXIS = (0.0, 0.0, 1.0)
 NAMED_AXES = {"x": X_AXIS, "y": Y_AXIS, "z": Z_AXIS}
 
 
+_TEXT = (str, bytes, bytearray)
+
+
+def _axis_components(basis) -> tuple[float, ...]:
+    """The axis as floats; text is refused, since float() would parse it."""
+    components = tuple(basis)
+    if isinstance(basis, _TEXT) or any(isinstance(c, _TEXT) for c in components):
+        raise TypeError(f"basis components must be numbers, got {basis!r}")
+    return tuple(float(c) for c in components)
+
+
 @dataclass(frozen=True)
 class MeasurementSpec:
     """Measurement of one qubit along a unit Bloch axis (triplet at +z)."""
@@ -52,7 +63,7 @@ class MeasurementSpec:
     basis: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        axis = tuple(float(c) for c in self.basis)
+        axis = _axis_components(self.basis)
         if len(axis) != 3 or not all(math.isfinite(c) for c in axis):
             raise ValueError(f"basis must be a finite 3-vector, got {self.basis}")
         if abs(math.sqrt(sum(c * c for c in axis)) - 1.0) > 1e-10:
@@ -128,7 +139,7 @@ def _scheduled_projector(bases, qubit: int) -> tuple[np.ndarray, np.ndarray]:
         given = bases[qubit]
     except LookupError:
         raise ValueError(f"bases has no axis for scheduled qubit {qubit}") from None
-    axis = tuple(map(float, given))  # the conversion MeasurementSpec applies
+    axis = _axis_components(given)  # the conversion MeasurementSpec applies
     if (axis, +1) not in _NAMED_PROJECTORS:
         MeasurementSpec(qubit, tuple(given))  # refuses a non-unit or non-finite axis
     return _projector(axis, +1)

@@ -18,11 +18,14 @@ Two estimators of the mean fidelity, kept deliberately independent:
   sigma: the grid draws each chunk of trials once per width, and one
   contraction up to the width's longest chain gives every shorter chain
   as a prefix. Points that share trials have correlated estimates, as
-  separate calls with one seed always had. A chunk holds at most
-  TRIAL_CHUNK rows of sigma x trial, and at most (points of one width) x
-  trials x 8 B of per-trial fidelities are held at once. Each trial's
-  value is independent of the trial count, the chunking and the rest of
-  the grid;
+  separate calls with one seed always had. A chunk holds
+  CHUNK_ELEMENTS // max(distinct sigmas, bonds) trials, at least one. Its
+  normals are drawn once and handed to the contraction one bond at a time,
+  as one sigma x trial array per bond, so no sigma x trial x bond buffer is
+  built and every per-chunk array stays within 128 KiB at any chain
+  length. At most (points of one width) x trials x 8 B of per-trial
+  fidelities are held at once. Each trial's value is independent of the
+  trial count, the chunking and the rest of the grid;
 - exact_mean_fidelity integrates the Gaussian analytically. The average of
   exp(i delta (u - u')) over delta is exp(-sigma^2/2) whenever the bond
   occupations u, u' of a basis-state pair differ, so
@@ -39,13 +42,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import NOISE, normal_width, normals
-from .state import MAX_QUBITS, prefix_cluster_fidelities
+from .state import MAX_QUBITS, _contract_bonds
 
-# Rows (sigma x trial) drawn and contracted together. Bounds the phase buffer
-# at TRIAL_CHUNK x bonds whatever the trial count and the number of sigmas; at
-# 256 every per-chunk array stays under 50 KB, so peak memory does not grow
-# with the chunk.
-TRIAL_CHUNK = 256
+# Element budget of one chunk of trials: a chunk holds
+# _chunk_trials(distinct sigmas, bonds) trials, so it draws at most
+# CHUNK_ELEMENTS normals (64 KiB) and every per-bond complex array of the
+# contraction (sigmas x trials) stays within 128 KiB, for any chain length.
+# Not larger: once a complex temporary reaches 256 KiB (16384 rows), numpy's
+# temporary elision runs the contraction's arithmetic in place and the last
+# bit of some fidelities moves (an 11 x 2000 batch differed from 100-trial
+# chunks in about 1100 of 22000 values; batches of up to 16368 rows matched).
+CHUNK_ELEMENTS = 8192
 
 
 @dataclass(frozen=True)
@@ -99,6 +106,11 @@ def sample_bond_errors(
     return sample_bond_error_batch(model, n_bonds, seed, stream, 1)[0]
 
 
+def _chunk_trials(n_sigmas: int, n_bonds: int) -> int:
+    """Trials per chunk: CHUNK_ELEMENTS spread over the wider of sigmas and bonds."""
+    return max(1, CHUNK_ELEMENTS // max(n_sigmas, n_bonds))
+
+
 def _reduce_trial_fidelities(points, trials: int, seed: int, reduce) -> list:
     """reduce(per-trial fidelities) of every (n_qubits, model) point, in order.
 
@@ -116,14 +128,16 @@ def _reduce_trial_fidelities(points, trials: int, seed: int, reduce) -> list:
     for members in groups.values():
         sigmas = list(dict.fromkeys(points[i][1].sigma_rad for i in members))
         row = {sigma: r for r, sigma in enumerate(sigmas)}
-        scale = np.array(sigmas)[:, np.newaxis, np.newaxis]
+        scale = np.array(sigmas)[:, np.newaxis]
         prefixes = sorted({points[i][0] - 1 for i in members})
+        bonds = prefixes[-1]
         fidelities = {i: np.empty(trials) for i in members}
-        count = max(1, TRIAL_CHUNK // len(sigmas))
+        count = _chunk_trials(len(sigmas), bonds)
         for start in range(0, trials, count):
             size = min(count, trials - start)
-            phases = np.pi + scale * normals(seed, NOISE, start, size, prefixes[-1])
-            by_prefix = dict(zip(prefixes, prefix_cluster_fidelities(phases, prefixes)))
+            z = normals(seed, NOISE, start, size, bonds)
+            columns = (np.pi + scale * z[:, b] for b in range(bonds))
+            by_prefix = dict(zip(prefixes, _contract_bonds(columns, (len(sigmas), size), prefixes)))
             for i in members:
                 n_qubits, model = points[i]
                 fidelities[i][start : start + size] = by_prefix[n_qubits - 1][row[model.sigma_rad]]
@@ -137,10 +151,11 @@ def trial_fidelities(
 ) -> np.ndarray:
     """Fidelity to the ideal cluster of each Monte Carlo trial.
 
-    The one-point view of the grid estimator: trials are drawn and
-    contracted TRIAL_CHUNK at a time, so the trials x bonds phase buffer is
-    never built whole. Entry t depends only on (n_qubits, model, seed, t),
-    not on the trial count, the chunking or the other points of a grid.
+    The one-point view of the grid estimator: trials are drawn in chunks
+    bounded by CHUNK_ELEMENTS and contracted one bond at a time, so no
+    trials x bonds phase buffer is built. Entry t depends only on
+    (n_qubits, model, seed, t), not on the trial count, the chunking or the
+    other points of a grid.
     """
     return _reduce_trial_fidelities([(n_qubits, model)], trials, seed, np.asarray)[0]
 
@@ -180,15 +195,15 @@ def monte_carlo_fidelity(
     return monte_carlo_fidelities([(n_qubits, model)], trials, seed)[0]
 
 
+# Entry (i, j) pairs the states (z, z') of one site and (w, w') of the next,
+# in the order below; True where the bond occupations z*w and z'*w' differ.
+_PAIR_STATES = ((0, 0), (0, 1), (1, 0), (1, 1))
+_DISAGREE = np.array([[(z & w) != (zp & wp) for w, wp in _PAIR_STATES] for z, zp in _PAIR_STATES])
+
+
 def _pair_transfer_matrix(sigma_rad: float) -> np.ndarray:
     """4x4 transfer matrix over pair states (z, z') of adjacent sites."""
-    q = math.exp(-0.5 * sigma_rad * sigma_rad)
-    states = ((0, 0), (0, 1), (1, 0), (1, 1))
-    t = np.empty((4, 4))
-    for i, (z, zp) in enumerate(states):
-        for j, (w, wp) in enumerate(states):
-            t[i, j] = q if (z & w) != (zp & wp) else 1.0
-    return t
+    return np.where(_DISAGREE, math.exp(-0.5 * sigma_rad * sigma_rad), 1.0)
 
 
 def exact_mean_fidelity(n_qubits: int, model: PhaseNoiseModel) -> float:

@@ -160,11 +160,22 @@ def prefix_cluster_fidelities(bond_phases, prefixes) -> list:
     prefixes = list(prefixes)
     if any(not 0 <= k <= phases.shape[-1] for k in prefixes):
         raise ValueError(f"prefixes must lie in [0, {phases.shape[-1]}], got {prefixes}")
+    return _contract_bonds(np.moveaxis(phases, -1, 0), phases.shape[:-1], prefixes)
+
+
+def _contract_bonds(bond_columns, batch_shape, prefixes) -> list:
+    """prefix_cluster_fidelities over bond phases handed over one bond at a time.
+
+    bond_columns yields the phases of bond 0, 1, ... as arrays of
+    batch_shape (numpy scalars for an empty batch shape), so no
+    batch x bonds buffer is needed; only as many bonds as the longest
+    prefix are read. Prefixes must already be validated.
+    """
     wanted = set(prefixes)
     last = max(wanted, default=0)
-    rotations = 1j * (phases - math.pi)  # exact: real part 0, imaginary part the delta
-    w0 = np.ones(phases.shape[:-1], dtype=np.complex128)
-    w1 = np.ones(phases.shape[:-1], dtype=np.complex128)
+    bonds = iter(bond_columns)
+    w0 = np.ones(batch_shape, dtype=np.complex128)
+    w1 = np.ones(batch_shape, dtype=np.complex128)
     fidelities = {}
     for b in range(last + 1):
         half = (w0 + w1) * 0.5  # overlap of the chain of the first b bonds
@@ -172,7 +183,8 @@ def prefix_cluster_fidelities(bond_phases, prefixes) -> list:
             fidelity = np.abs(half) ** 2
             fidelities[b] = float(fidelity) if fidelity.ndim == 0 else fidelity
         if b < last:
-            w0, w1 = half, (w0 + w1 * np.exp(rotations[..., b])) * 0.5
+            rot = 1j * (next(bonds) - math.pi)  # exact: real part 0, imaginary part the delta
+            w0, w1 = half, (w0 + w1 * np.exp(rot)) * 0.5
     return [fidelities[k] for k in prefixes]
 
 

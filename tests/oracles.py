@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 
 from dotchain.measurement import MeasurementRecord, MeasurementSpec
-from dotchain.noise import TRIAL_CHUNK, PhaseNoiseModel, sample_bond_error_batch
+from dotchain.noise import PhaseNoiseModel, sample_bond_error_batch
 from dotchain.rng import MEASUREMENT, uniforms
 from dotchain.state import NORM_ATOL, ChainState, ideal_cluster_fidelity
 
@@ -104,13 +104,15 @@ def brute_mean_fidelity(n: int, sigma_rad: float) -> float:
 def per_point_monte_carlo(n: int, sigma_rad: float, trials: int, seed: int) -> tuple[float, float]:
     """Mean fidelity and its standard error for one grid point on its own.
 
-    Draws and contracts TRIAL_CHUNK trials at a time, with no trial shared
-    with any other point, then reduces with np.mean and np.std(ddof=1).
+    Draws and contracts 256 trials at a time as one batch, with no trial
+    shared with any other point, then reduces with np.mean and
+    np.std(ddof=1). The chunk is its own, so the oracle does not follow the
+    estimator's chunking.
     """
     model = PhaseNoiseModel(sigma_rad)
     fidelities = np.empty(trials)
-    for start in range(0, trials, TRIAL_CHUNK):
-        count = min(TRIAL_CHUNK, trials - start)
+    for start in range(0, trials, 256):
+        count = min(256, trials - start)
         phases = sample_bond_error_batch(model, n - 1, seed, start, count)
         fidelities[start : start + count] = ideal_cluster_fidelity(phases)
     mean = min(float(np.mean(fidelities)), 1.0)  # a mean fidelity is at most 1

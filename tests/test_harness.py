@@ -15,7 +15,7 @@ from dotchain import plateau_coupling, solve_hold_time
 from dotchain.cli import main
 from dotchain.config import config_from_strings, load_config_file
 from dotchain.harness import run_figure2, run_figure3, run_measure_demo, run_prepare
-from dotchain.noise import TRIAL_CHUNK
+from dotchain.noise import CHUNK_ELEMENTS
 from dotchain.rng import normal_width
 
 from oracles import kron_chain, P_ONE, per_point_monte_carlo
@@ -117,7 +117,7 @@ def test_figure3_draws_each_trial_once_per_width(tmp_path, monkeypatch):
     draw = noise.normals
 
     def counted(seed, domain, first_stream, n_streams, per_stream):
-        calls.append((normal_width(per_stream), first_stream, n_streams))
+        calls.append((normal_width(per_stream), first_stream, n_streams, per_stream))
         return draw(seed, domain, first_stream, n_streams, per_stream)
 
     monkeypatch.setattr(noise, "normals", counted)
@@ -129,12 +129,12 @@ def test_figure3_draws_each_trial_once_per_width(tmp_path, monkeypatch):
     for n, sigma in [(n, 0.03) for n in range(2, 21)] + [(20, s) for s in cfg.sigma_over_pi]:
         sigmas_of_width.setdefault(normal_width(n - 1), set()).add(sigma)
     for width in sigmas_of_width:
-        streams = [t for w, first, count in calls if w == width for t in range(first, first + count)]
+        streams = [t for w, first, count, _ in calls if w == width for t in range(first, first + count)]
         assert sorted(streams) == list(range(trials))
     # 1 + 2 + 3 + 4 + 5 blocks a trial; 110 when every row drew its own trials
-    assert sum(width * count for width, _, count in calls) == 15 * trials
-    for width, _, count in calls:
-        assert count * len(sigmas_of_width[width]) <= TRIAL_CHUNK
+    assert sum(width * count for width, _, count, _ in calls) == 15 * trials
+    for width, _, count, bonds in calls:
+        assert count * max(len(sigmas_of_width[width]), bonds) <= CHUNK_ELEMENTS or count == 1
 
 
 def test_prepare_defaults(tmp_path):
@@ -301,6 +301,27 @@ def test_cli_overrides(tmp_path):
     assert len(rows) == 19 + 1
     assert float(rows[-1][1]) == 0.02
     assert int(rows[-1][5]) == 150 and int(rows[-1][6]) == 8
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("figure2", "--trials", "150"),
+        ("figure2", "--qubits", "5"),
+        ("figure2", "--sigma-over-pi", "0.02"),
+        ("figure3", "--qubits", "5"),
+        ("prepare", "--trials", "7"),
+        ("prepare", "--sigma-over-pi", "0.02"),
+        ("measure-demo", "--trials", "150"),
+        ("measure-demo", "--sigma-over-pi", "0.02"),
+    ],
+)
+def test_cli_refuses_unused_flags(tmp_path, command, flag, value):
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, [command, flag, value, "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert f"{flag} is not used by {command}" in result.output
+    assert not out.exists()
 
 
 def test_cli_unknown_config_key(tmp_path):

@@ -341,6 +341,28 @@ def test_run_schedule_refuses_missing_axis_before_measuring(monkeypatch):
     assert draws == []
 
 
+@pytest.mark.parametrize(
+    "axis",
+    [
+        ("0.6", "0.8", "0"),
+        ("0", "0", "1"),  # the z axis once float() has parsed it
+        (0.0, 0.0, "1"),
+        (b"0", b"0", b"1"),
+        b"\x00\x00\x01",  # iterates as the ints 0, 0, 1
+        "001",
+        np.array(["0", "0", "1"]),
+    ],
+)
+def test_text_axis_components_are_refused(monkeypatch, axis):
+    draws = []
+    monkeypatch.setattr(measurement, "uniforms", lambda *args: draws.append(args))
+    with pytest.raises(TypeError, match="numbers"):
+        MeasurementSpec(qubit=0, basis=axis)
+    with pytest.raises(TypeError, match="numbers"):
+        run_schedule(ideal_cluster(3), schedule_rounds([0, 2]), {0: Z_AXIS, 2: axis}, seed=0)
+    assert draws == []
+
+
 def test_round_schedule_refuses_negative_qubit():
     with pytest.raises(ValueError, match=">= 0"):
         RoundSchedule(rounds=((-1,),))

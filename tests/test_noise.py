@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dotchain import (
     FidelityEstimate,
@@ -19,9 +21,9 @@ from dotchain import (
     trial_fidelities,
 )
 from dotchain import noise
-from dotchain.noise import TRIAL_CHUNK
+from dotchain.noise import CHUNK_ELEMENTS, _chunk_trials
 
-from oracles import brute_mean_fidelity, unscaled_mean_fidelity
+from oracles import brute_mean_fidelity, per_point_monte_carlo, unscaled_mean_fidelity
 
 SIGMA = 0.03 * math.pi
 
@@ -62,7 +64,8 @@ def test_sample_determinism():
 def test_batch_rows_equal_single_streams():
     # a batch spanning two chunk boundaries, started off a chunk boundary
     model = PhaseNoiseModel(SIGMA)
-    first, count = TRIAL_CHUNK - 3, TRIAL_CHUNK + 10
+    chunk = _chunk_trials(1, 6)
+    first, count = chunk - 3, chunk + 10
     batch = sample_bond_error_batch(model, 6, seed=19, first_stream=first, n_streams=count)
     assert batch.shape == (count, 6)
     for t in range(count):
@@ -73,7 +76,7 @@ def test_trial_fidelities_follow_streams():
     # every chunked trial is its own stream's draw, contracted as a one-row
     # batch (a lone 1-d vector goes through numpy's scalar math instead)
     model = PhaseNoiseModel(SIGMA)
-    trials = 2 * TRIAL_CHUNK + 7
+    trials = 2 * _chunk_trials(1, 4) + 7
     fidelities = trial_fidelities(5, model, trials, seed=23)
     for t in range(trials):
         phases = sample_bond_errors(model, 4, seed=23, stream=t)
@@ -82,8 +85,9 @@ def test_trial_fidelities_follow_streams():
 
 def test_trial_fidelities_prefix_property():
     model = PhaseNoiseModel(SIGMA)
-    full = trial_fidelities(8, model, 2 * TRIAL_CHUNK + 50, seed=29)
-    for k in (1, 100, TRIAL_CHUNK, TRIAL_CHUNK + 1, 2 * TRIAL_CHUNK + 3):
+    chunk = _chunk_trials(1, 7)
+    full = trial_fidelities(8, model, 2 * chunk + 50, seed=29)
+    for k in (1, 100, chunk, chunk + 1, 2 * chunk + 3):
         assert np.array_equal(trial_fidelities(8, model, k, seed=29), full[:k])
 
 
@@ -160,6 +164,52 @@ def test_grid_points_equal_single_point_calls():
         monte_carlo_fidelities(models, trials=99, seed=37)
     with pytest.raises(ValueError):
         monte_carlo_fidelities(models + [(25, models[0][1])], trials=300, seed=37)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    lengths=st.lists(st.integers(min_value=2, max_value=24), min_size=1, max_size=3),
+    others=st.lists(
+        st.floats(min_value=1e-3, max_value=0.3 * math.pi), max_size=39, unique=True
+    ),
+    repeats=st.lists(st.integers(min_value=0, max_value=39), max_size=5),
+    trials=st.integers(min_value=100, max_value=3000),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(lengths=[24, 9], others=[0.01 * k for k in range(1, 40)], repeats=[0, 5], trials=3000, seed=3)
+def test_streamed_grid_matches_per_point_oracle(lengths, others, repeats, trials, seed):
+    # up to 40 sigmas x 3000 trials: chunks end well inside the trial range
+    distinct = [0.0] + others
+    sigmas = distinct + [distinct[r % len(distinct)] for r in repeats]
+    points = [(n, PhaseNoiseModel(s)) for n in lengths for s in sigmas]
+    estimates = monte_carlo_fidelities(points, trials, seed)
+    oracle = {}
+    for (n, model), est in zip(points, estimates):
+        key = (n, model.sigma_rad)
+        if key not in oracle:
+            oracle[key] = per_point_monte_carlo(n, model.sigma_rad, trials, seed)
+        assert (est.mean, est.standard_error) == oracle[key]
+
+
+def test_grid_draws_stay_within_element_budget(monkeypatch):
+    sizes = []
+    draw = noise.normals
+
+    def counted(seed, domain, first_stream, n_streams, per_stream):
+        sizes.append((n_streams, per_stream))
+        return draw(seed, domain, first_stream, n_streams, per_stream)
+
+    monkeypatch.setattr(noise, "normals", counted)
+    sigmas = [0.01 * k * math.pi for k in range(40)]
+    points = [(n, PhaseNoiseModel(s)) for n in (5, 24) for s in sigmas] + [(13, PhaseNoiseModel(SIGMA))]
+    monte_carlo_fidelities(points, trials=3000, seed=43)
+    trial_fidelities(24, PhaseNoiseModel(SIGMA), 20_000, seed=43)
+    assert sizes
+    for n_streams, per_stream in sizes:
+        assert n_streams * per_stream <= CHUNK_ELEMENTS or n_streams == 1
+    assert _chunk_trials(40, 23) == CHUNK_ELEMENTS // 40
+    assert _chunk_trials(1, 23) == CHUNK_ELEMENTS // 23
+    assert _chunk_trials(3, 10**5) == 1
 
 
 def test_exact_zero_sigma():
