@@ -50,9 +50,16 @@ _TEXT = (str, bytes, bytearray)
 def _axis_components(basis) -> tuple[float, ...]:
     """The axis as floats; text is refused, since float() would parse it."""
     components = tuple(basis)
+    if not isinstance(basis, _TEXT):
+        try:
+            axis = tuple(map(float, components))
+        except ValueError:
+            axis = None
+        if axis == components:  # a number equals its float; text never does
+            return axis
     if isinstance(basis, _TEXT) or any(isinstance(c, _TEXT) for c in components):
         raise TypeError(f"basis components must be numbers, got {basis!r}")
-    return tuple(float(c) for c in components)
+    return tuple(map(float, components))
 
 
 @dataclass(frozen=True)

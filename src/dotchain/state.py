@@ -151,8 +151,10 @@ def prefix_cluster_fidelities(bond_phases, prefixes) -> list:
     entry of prefixes, in order. Each step halves the partial sums, so the
     overlap 2^-n * sum_z(...) is carried as (w0 + w1) / 2 and never
     overflows; halving is exact, so the values equal the unscaled sum
-    divided by 2^n. A 1-d input keeps numpy's scalar arithmetic per bond,
-    which can differ in the last bit from the same vector as a batch row.
+    divided by 2^n. The loop reads one bond column at a time; the Monte
+    Carlo estimator feeds it per-bond columns directly. A 1-d input keeps
+    numpy's scalar arithmetic per bond, which can differ in the last bit
+    from the same vector as a batch row.
     """
     phases = np.asarray(bond_phases, dtype=float)
     if phases.ndim == 0:

@@ -347,6 +347,7 @@ def test_run_schedule_refuses_missing_axis_before_measuring(monkeypatch):
         ("0.6", "0.8", "0"),
         ("0", "0", "1"),  # the z axis once float() has parsed it
         (0.0, 0.0, "1"),
+        ("x", 0.0, 0.0),  # float() would raise ValueError
         (b"0", b"0", b"1"),
         b"\x00\x00\x01",  # iterates as the ints 0, 0, 1
         "001",
