@@ -53,7 +53,6 @@ from .state import (
     init_plus_chain,
     stabilizer_expectation,
     state_fidelity,
-    write_state_csv,
 )
 
 __all__ = [
@@ -101,5 +100,4 @@ __all__ = [
     "stabilizer_expectation",
     "symmetric_pulse",
     "trial_fidelities",
-    "write_state_csv",
 ]

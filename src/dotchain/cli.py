@@ -1,7 +1,8 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 1 config/validation failure, 2 verification-threshold
-failure (prepare only).
+failure (prepare only). An override flag's click name is the config key it
+sets, so its value is applied as that key's text.
 """
 
 from __future__ import annotations
@@ -13,22 +14,15 @@ import click
 from .config import config_from_strings, load_config_file
 from .harness import run_figure2, run_figure3, run_measure_demo, run_prepare
 
-
-def _load(config_path, overrides: dict[str, str]):
-    raw = load_config_file(config_path) if config_path else {}
-    raw.update({k: v for k, v in overrides.items() if v is not None})
-    return config_from_strings(raw)
-
-
 _common = [
     # note: no exists=True — a missing file must exit 1 (validation failure),
     # not 2 (click usage error), per the exit-code contract
     click.option("--config", "config_path", type=click.Path(dir_okay=False), default=None, help="Config file or run manifest."),
     click.option("--out", "out_dir", type=click.Path(file_okay=False), default="out", show_default=True, help="Output directory."),
-    click.option("--seed", type=int, default=None, help="Override the base seed."),
-    click.option("--trials", type=int, default=None, help="Override the Monte Carlo trial count."),
-    click.option("--qubits", type=int, default=None, help="Override the chain length."),
-    click.option("--sigma-over-pi", type=float, default=None, help="Override the noise level list with a single value."),
+    click.option("--seed", "seed", type=int, default=None, help="Override the base seed."),
+    click.option("--trials", "trials", type=int, default=None, help="Override the Monte Carlo trial count."),
+    click.option("--qubits", "n_qubits", type=int, default=None, help="Override the chain length."),
+    click.option("--sigma-over-pi", "sigma_over_pi", type=float, default=None, help="Override the noise level list with a single value."),
 ]
 
 
@@ -38,22 +32,13 @@ def _with_common(func):
     return func
 
 
-def _overrides(seed, trials, qubits, sigma_over_pi) -> dict[str, str]:
-    return {
-        "seed": None if seed is None else str(seed),
-        "trials": None if trials is None else str(trials),
-        "n_qubits": None if qubits is None else str(qubits),
-        "sigma_over_pi": None if sigma_over_pi is None else repr(sigma_over_pi),
-    }
-
-
-# Override flags a command has no use for. Passing one is refused, so a
-# flag is never silently ignored.
+# Config keys whose override flag a command has no use for. Passing one is
+# refused, so a flag is never silently ignored.
 _UNUSED_FLAGS = {
-    run_figure2: ("--trials", "--qubits", "--sigma-over-pi"),
-    run_figure3: ("--qubits",),
-    run_prepare: ("--trials", "--sigma-over-pi"),
-    run_measure_demo: ("--trials", "--sigma-over-pi"),
+    run_figure2: ("seed", "trials", "n_qubits", "sigma_over_pi"),
+    run_figure3: ("n_qubits",),
+    run_prepare: ("seed", "trials", "sigma_over_pi"),
+    run_measure_demo: ("trials", "sigma_over_pi"),
 }
 
 
@@ -62,22 +47,23 @@ def main():
     """Cluster-state preparation in a double-quantum-dot qubit chain."""
 
 
-def _run(command, config_path, out_dir, seed, trials, qubits, sigma_over_pi):
-    """Load the config and run one harness command.
+def _run(command, config_path, out_dir, **overrides):
+    """Load the config, apply the override flags and run one harness command.
 
     Every failure to carry out a request exits 1 with its message.
     ConfigError and CalibrationError are ValueErrors, and so are the checks
     a valid config can still fail, such as a pulse too long to represent.
     A flag the command does not use is refused before anything runs.
     """
-    given = {"--trials": trials, "--qubits": qubits, "--sigma-over-pi": sigma_over_pi}
-    for flag in _UNUSED_FLAGS[command]:
-        if given[flag] is not None:
-            name = click.get_current_context().info_name
-            raise click.ClickException(f"{flag} is not used by {name}")
+    ctx = click.get_current_context()
+    for key in _UNUSED_FLAGS[command]:
+        if overrides[key] is not None:
+            flag = next(param.opts[0] for param in ctx.command.params if param.name == key)
+            raise click.ClickException(f"{flag} is not used by {ctx.info_name}")
     try:
-        cfg = _load(config_path, _overrides(seed, trials, qubits, sigma_over_pi))
-        return command(cfg, out_dir)
+        raw = load_config_file(config_path) if config_path else {}
+        raw.update({key: str(value) for key, value in overrides.items() if value is not None})
+        return command(config_from_strings(raw), out_dir)
     except (ValueError, OSError) as exc:
         raise click.ClickException(str(exc)) from exc
 

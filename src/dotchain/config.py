@@ -1,48 +1,30 @@
 """Experiment configuration: flat key=value files with strict validation.
 
-Every physical quantity carries its unit in the key name (tau1_ns,
-tunnel_coupling_mev, ...). Unknown keys are rejected, every module
-precondition is checked up front, and the canonical serialization
-round-trips exactly so a run manifest can reproduce a run bit for bit.
-A config file may also be a run manifest (JSON with a config_text field);
-one written under a different RNG algorithm or package version is refused,
-since it would not reproduce its run.
+KEYS is the schema: each key's default text and kind (its parser and
+canonical formatter), in canonical order. Device keys are the DeviceParams
+fields, the rest ExperimentConfig fields, and a CLI override flag's click
+name is the key it sets. Every physical quantity carries its unit in the
+key name (tau1_ns, tunnel_coupling_mev, ...). Unknown keys are rejected,
+every module precondition is checked up front, and the canonical
+serialization round-trips exactly so a run manifest can reproduce a run
+bit for bit. A config file may also be a run manifest (JSON with a
+config_text field); one written under a different RNG algorithm or
+package version is refused, since it would not reproduce its run.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Any, Callable, NamedTuple
 
 from . import __version__
 from .measurement import NAMED_AXES
 from .physics import DeviceParams
-from .pulse import DetuningPulse, check_adiabaticity, solve_hold_time
+from .pulse import DetuningPulse, check_adiabaticity, detuning_window, solve_hold_time
 from .rng import RNG_ALGORITHM, SEED_BOUND
 from .state import MAX_QUBITS
-
-# Canonical defaults, as strings; the reference device and pulse.
-DEFAULTS: dict[str, str] = {
-    "dot_radius_nm": "100.0",
-    "intradot_spacing_nm": "200.0",
-    "intermolecule_spacing_nm": "2000.0",
-    "relative_permittivity": "12.9",
-    "tunnel_coupling_mev": "0.01",
-    "charging_energy_mev": "5.0",
-    "tau1_ns": "1.0",
-    "tau2_ns": "auto",
-    "eps_low_mev": "auto",
-    "eps_high_mev": "auto",
-    "target_phase_over_pi": "1.0",
-    "coherence_budget_ns": "10.0",
-    "n_qubits": "10",
-    "trials": "20000",
-    "seed": "1",
-    "sigma_over_pi": "0.0,0.01,0.02,0.03,0.04,0.05,0.06,0.07,0.08,0.09,0.1",
-    "measure_pattern": "all",
-    "measure_axis": "z",
-}
 
 
 class ConfigError(ValueError):
@@ -85,6 +67,50 @@ def _parse_pattern(text: str) -> tuple[int, ...] | None:
     return tuple(_parse_int(item.strip()) for item in text.split(",") if item.strip() != "")
 
 
+def _format_pattern(pattern: tuple[int, ...] | None) -> str:
+    if pattern is None:
+        return "all"
+    return ",".join(str(q) for q in pattern) if pattern else "none"
+
+
+class _Kind(NamedTuple):
+    parse: Callable[[str], Any]
+    format: Callable[[Any], str]
+
+
+_FLOAT = _Kind(_parse_float, repr)
+_AUTO_OR_FLOAT = _Kind(_parse_optional_float, lambda v: "auto" if v is None else repr(v))
+_INT = _Kind(_parse_int, str)
+_FLOAT_LIST = _Kind(_parse_float_list, lambda values: ",".join(repr(v) for v in values))
+_PATTERN = _Kind(_parse_pattern, _format_pattern)
+_TEXT = _Kind(str, str)
+
+# Defaults describe the reference device and pulse.
+KEYS: dict[str, tuple[str, _Kind]] = {
+    "dot_radius_nm": ("100.0", _FLOAT),
+    "intradot_spacing_nm": ("200.0", _FLOAT),
+    "intermolecule_spacing_nm": ("2000.0", _FLOAT),
+    "relative_permittivity": ("12.9", _FLOAT),
+    "tunnel_coupling_mev": ("0.01", _FLOAT),
+    "charging_energy_mev": ("5.0", _FLOAT),
+    "tau1_ns": ("1.0", _FLOAT),
+    "tau2_ns": ("auto", _AUTO_OR_FLOAT),
+    "eps_low_mev": ("auto", _AUTO_OR_FLOAT),
+    "eps_high_mev": ("auto", _AUTO_OR_FLOAT),
+    "target_phase_over_pi": ("1.0", _FLOAT),
+    "coherence_budget_ns": ("10.0", _FLOAT),
+    "n_qubits": ("10", _INT),
+    "trials": ("20000", _INT),
+    "seed": ("1", _INT),
+    "sigma_over_pi": ("0.0,0.01,0.02,0.03,0.04,0.05,0.06,0.07,0.08,0.09,0.1", _FLOAT_LIST),
+    "measure_pattern": ("all", _PATTERN),
+    "measure_axis": ("z", _TEXT),
+}
+DEFAULTS: dict[str, str] = {key: default for key, (default, _) in KEYS.items()}
+_DEVICE_KEYS = tuple(field.name for field in fields(DeviceParams))
+_EXPERIMENT_KEYS = tuple(key for key in KEYS if key not in _DEVICE_KEYS)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     device: DeviceParams
@@ -102,10 +128,7 @@ class ExperimentConfig:
     measure_axis: str
 
     def resolved_eps(self) -> tuple[float, float]:
-        half = self.device.charging_energy_mev / 2.0
-        lo = -half if self.eps_low_mev is None else self.eps_low_mev
-        hi = half if self.eps_high_mev is None else self.eps_high_mev
-        return lo, hi
+        return detuning_window(self.device, self.eps_low_mev, self.eps_high_mev)
 
     def target_phase_rad(self) -> float:
         return self.target_phase_over_pi * math.pi
@@ -177,38 +200,19 @@ def load_config_file(path) -> dict[str, str]:
 
 def config_from_strings(raw: dict[str, str]) -> ExperimentConfig:
     """Typed, fully validated config from raw strings merged over defaults."""
-    unknown = set(raw) - set(DEFAULTS)
+    unknown = set(raw) - set(KEYS)
     if unknown:
         raise ConfigError(f"unknown keys: {sorted(unknown)}")
     merged = {**DEFAULTS, **raw}
 
+    def parse(keys: tuple[str, ...]) -> dict:
+        return {key: KEYS[key][1].parse(merged[key]) for key in keys}
+
     try:
-        device = DeviceParams(
-            dot_radius_nm=_parse_float(merged["dot_radius_nm"]),
-            intradot_spacing_nm=_parse_float(merged["intradot_spacing_nm"]),
-            intermolecule_spacing_nm=_parse_float(merged["intermolecule_spacing_nm"]),
-            relative_permittivity=_parse_float(merged["relative_permittivity"]),
-            tunnel_coupling_mev=_parse_float(merged["tunnel_coupling_mev"]),
-            charging_energy_mev=_parse_float(merged["charging_energy_mev"]),
-        )
+        device = DeviceParams(**parse(_DEVICE_KEYS))
     except ValueError as exc:
         raise ConfigError(f"invalid device parameters: {exc}") from exc
-
-    config = ExperimentConfig(
-        device=device,
-        tau1_ns=_parse_float(merged["tau1_ns"]),
-        tau2_ns=_parse_optional_float(merged["tau2_ns"]),
-        eps_low_mev=_parse_optional_float(merged["eps_low_mev"]),
-        eps_high_mev=_parse_optional_float(merged["eps_high_mev"]),
-        target_phase_over_pi=_parse_float(merged["target_phase_over_pi"]),
-        coherence_budget_ns=_parse_float(merged["coherence_budget_ns"]),
-        n_qubits=_parse_int(merged["n_qubits"]),
-        trials=_parse_int(merged["trials"]),
-        seed=_parse_int(merged["seed"]),
-        sigma_over_pi=_parse_float_list(merged["sigma_over_pi"]),
-        measure_pattern=_parse_pattern(merged["measure_pattern"]),
-        measure_axis=merged["measure_axis"],
-    )
+    config = ExperimentConfig(device=device, **parse(_EXPERIMENT_KEYS))
     _validate(config)
     return config
 
@@ -246,35 +250,5 @@ def _validate(cfg: ExperimentConfig) -> None:
 
 def canonical_text(cfg: ExperimentConfig) -> str:
     """Round-trip serialization: parsing this text reproduces cfg exactly."""
-
-    def opt(value: float | None) -> str:
-        return "auto" if value is None else repr(value)
-
-    if cfg.measure_pattern is None:
-        pattern = "all"
-    elif not cfg.measure_pattern:
-        pattern = "none"
-    else:
-        pattern = ",".join(str(q) for q in cfg.measure_pattern)
-
-    values = {
-        "dot_radius_nm": repr(cfg.device.dot_radius_nm),
-        "intradot_spacing_nm": repr(cfg.device.intradot_spacing_nm),
-        "intermolecule_spacing_nm": repr(cfg.device.intermolecule_spacing_nm),
-        "relative_permittivity": repr(cfg.device.relative_permittivity),
-        "tunnel_coupling_mev": repr(cfg.device.tunnel_coupling_mev),
-        "charging_energy_mev": repr(cfg.device.charging_energy_mev),
-        "tau1_ns": repr(cfg.tau1_ns),
-        "tau2_ns": opt(cfg.tau2_ns),
-        "eps_low_mev": opt(cfg.eps_low_mev),
-        "eps_high_mev": opt(cfg.eps_high_mev),
-        "target_phase_over_pi": repr(cfg.target_phase_over_pi),
-        "coherence_budget_ns": repr(cfg.coherence_budget_ns),
-        "n_qubits": str(cfg.n_qubits),
-        "trials": str(cfg.trials),
-        "seed": str(cfg.seed),
-        "sigma_over_pi": ",".join(repr(s) for s in cfg.sigma_over_pi),
-        "measure_pattern": pattern,
-        "measure_axis": cfg.measure_axis,
-    }
-    return "\n".join(f"{key} = {values[key]}" for key in DEFAULTS) + "\n"
+    values = {**vars(cfg.device), **vars(cfg)}
+    return "".join(f"{key} = {kind.format(values[key])}\n" for key, (_, kind) in KEYS.items())

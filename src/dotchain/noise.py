@@ -187,9 +187,10 @@ def monte_carlo_fidelity(
     """Sampled mean fidelity of the noisy preparation to the ideal cluster.
 
     The one-point view of monte_carlo_fidelities. Per-trial fidelity is
-    evaluated through the O(n) bond-phase overlap (ideal_cluster_fidelity),
-    which equals the dense-state computation exactly; at n = 20 and 1e5
-    trials the dense route would take the better part of an hour.
+    evaluated through the O(n) bond-phase overlap, contracted a chunk of
+    trials at a time by state._contract_bonds, which equals the dense-state
+    computation exactly; at n = 20 and 1e5 trials the dense route would
+    take the better part of an hour.
     Bit-identical for identical (n, model, trials, seed).
     """
     return monte_carlo_fidelities([(n_qubits, model)], trials, seed)[0]

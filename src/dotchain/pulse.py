@@ -105,12 +105,20 @@ class DetuningPulse:
         )
 
 
+def detuning_window(
+    dev: DeviceParams, eps_low_mev: float | None = None, eps_high_mev: float | None = None
+) -> tuple[float, float]:
+    """Sweep window (eps_low, eps_high) in meV; an end left None is -Ec/2 or +Ec/2."""
+    half = dev.charging_energy_mev / 2.0
+    lo = -half if eps_low_mev is None else eps_low_mev
+    hi = half if eps_high_mev is None else eps_high_mev
+    return lo, hi
+
+
 def symmetric_pulse(dev: DeviceParams, ramp_ns: float, hold_ns: float) -> DetuningPulse:
     """Trapezoid between -Ec/2 and +Ec/2 for the given device."""
-    half = dev.charging_energy_mev / 2.0
-    return DetuningPulse(
-        ramp_up_ns=ramp_ns, hold_ns=hold_ns, eps_low_mev=-half, eps_high_mev=half
-    )
+    lo, hi = detuning_window(dev)
+    return DetuningPulse(ramp_up_ns=ramp_ns, hold_ns=hold_ns, eps_low_mev=lo, eps_high_mev=hi)
 
 
 def _ramp_coupling_integral_mev2(pulse: DetuningPulse, dev: DeviceParams) -> float:
@@ -161,9 +169,7 @@ def solve_hold_time(
         raise ValueError("target_phase_rad must be positive and finite")
     if tau1_ns < 0 or not math.isfinite(tau1_ns):
         raise ValueError("tau1_ns must be >= 0 and finite")
-    half = dev.charging_energy_mev / 2.0
-    lo = -half if eps_low_mev is None else eps_low_mev
-    hi = half if eps_high_mev is None else eps_high_mev
+    lo, hi = detuning_window(dev, eps_low_mev, eps_high_mev)
 
     ramps = DetuningPulse(ramp_up_ns=tau1_ns, hold_ns=0.0, eps_low_mev=lo, eps_high_mev=hi)
     ramp_phase = accumulated_phase(ramps, dev)

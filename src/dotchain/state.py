@@ -1,22 +1,21 @@
 """Dense N-qubit state engine in the |0> = singlet, |1> = triplet encoding.
 
 States are complex amplitude vectors of length 2^n with qubit 0 as the most
-significant bit of the basis index; that order is fixed and shared by every
-CSV dump. The entangling evolution is diagonal: basis state z picks up
+significant bit of the basis index; that order is fixed. The entangling
+evolution is diagonal: basis state z picks up
 exp(i * sum_b phi_b * z_b * z_{b+1}) for bond phases phi. All operations
 return new states and preserve the norm.
 
 Capped at 24 qubits. The dense engine serves measurement and the oracle
-tests; write_state_csv can dump a state, but no command writes one. A chain
-prepared by Ising phases alone needs none of it: ideal_cluster_fidelity and
-cluster_stabilizers verify it in O(n) from its bond phases, which is how the
-prepare command checks its chain and figure3 scores its noisy trials. The
-O(n) contraction rescales every step, so it has no qubit cap of its own.
+tests. A chain prepared by Ising phases alone needs none of it:
+ideal_cluster_fidelity and cluster_stabilizers verify it in O(n) from its
+bond phases, which is how the prepare command checks its chain and figure3
+scores its noisy trials. The O(n) contraction rescales every step, so it
+has no qubit cap of its own.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -211,12 +210,3 @@ def cluster_stabilizers(bond_phases) -> np.ndarray:
     h = np.ones(phases.size + 2, dtype=np.complex128)
     h[1:-1] = (1.0 - np.exp(1j * phases)) / 2.0
     return (h[:-1] * h[1:]).real
-
-
-def write_state_csv(state: ChainState, path) -> None:
-    """Dump amplitudes as CSV; the index column name records the bit order."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["basis_index_qubit0_msb", "amplitude_real", "amplitude_imag"])
-        for idx, amp in enumerate(state.amplitudes):
-            writer.writerow([idx, f"{amp.real:.17g}", f"{amp.imag:.17g}"])

@@ -1,17 +1,23 @@
 import json
 import math
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dotchain import RNG_ALGORITHM, __version__
+from dotchain import MAX_QUBITS, RNG_ALGORITHM, DeviceParams, __version__
 from dotchain.config import (
+    KEYS,
     ConfigError,
     DEFAULTS,
+    ExperimentConfig,
     canonical_text,
     config_from_strings,
     load_config_file,
     parse_kv_text,
 )
+from dotchain.measurement import NAMED_AXES
 
 
 def test_defaults_build():
@@ -93,6 +99,79 @@ def test_canonical_covers_every_key():
     text = canonical_text(config_from_strings({}))
     keys = [line.split(" = ")[0] for line in text.strip().splitlines()]
     assert keys == list(DEFAULTS)
+
+
+def test_keys_are_config_fields():
+    device = {field.name for field in fields(DeviceParams)}
+    experiment = {field.name for field in fields(ExperimentConfig)} - {"device"}
+    assert set(KEYS) == device | experiment
+    assert not device & experiment
+
+
+def test_default_canonical_text_is_pinned():
+    # Run manifests replay this text, so its format must not drift.
+    assert canonical_text(config_from_strings({})) == (
+        "dot_radius_nm = 100.0\n"
+        "intradot_spacing_nm = 200.0\n"
+        "intermolecule_spacing_nm = 2000.0\n"
+        "relative_permittivity = 12.9\n"
+        "tunnel_coupling_mev = 0.01\n"
+        "charging_energy_mev = 5.0\n"
+        "tau1_ns = 1.0\n"
+        "tau2_ns = auto\n"
+        "eps_low_mev = auto\n"
+        "eps_high_mev = auto\n"
+        "target_phase_over_pi = 1.0\n"
+        "coherence_budget_ns = 10.0\n"
+        "n_qubits = 10\n"
+        "trials = 20000\n"
+        "seed = 1\n"
+        "sigma_over_pi = 0.0,0.01,0.02,0.03,0.04,0.05,0.06,0.07,0.08,0.09,0.1\n"
+        "measure_pattern = all\n"
+        "measure_axis = z\n"
+    )
+
+
+_POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
+# Valid values for every key but measure_pattern, whose range depends on n_qubits.
+_VALID_VALUES = {
+    "dot_radius_nm": _POSITIVE,
+    "intradot_spacing_nm": st.floats(min_value=0.0, max_value=1e3),
+    "intermolecule_spacing_nm": st.floats(min_value=2e3, max_value=1e6),
+    "relative_permittivity": _POSITIVE,
+    "tunnel_coupling_mev": _POSITIVE,
+    "charging_energy_mev": _POSITIVE,
+    "tau1_ns": st.floats(min_value=0.0, max_value=1e6),
+    "tau2_ns": st.none() | st.floats(min_value=0.0, max_value=1e6),
+    "eps_low_mev": st.none() | st.floats(min_value=-1e3, max_value=-1e-6),
+    "eps_high_mev": st.none() | st.floats(min_value=1e-6, max_value=1e3),
+    "target_phase_over_pi": _POSITIVE,
+    "coherence_budget_ns": _POSITIVE,
+    "n_qubits": st.integers(1, MAX_QUBITS),
+    "trials": st.integers(100, 10**12),
+    "seed": st.integers(0, 2**64 - 1),
+    "sigma_over_pi": st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1).map(tuple),
+    "measure_axis": st.sampled_from(sorted(NAMED_AXES)),
+}
+
+
+@st.composite
+def valid_configs(draw):
+    values = {key: draw(strategy) for key, strategy in _VALID_VALUES.items()}
+    qubits = st.lists(st.integers(0, values["n_qubits"] - 1), unique=True).map(tuple)
+    values["measure_pattern"] = draw(st.none() | qubits)
+    device = {field.name: values.pop(field.name) for field in fields(DeviceParams)}
+    return ExperimentConfig(device=DeviceParams(**device), **values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_configs())
+def test_canonical_text_round_trips_every_kind(cfg):
+    assert set(_VALID_VALUES) | {"measure_pattern"} == set(KEYS)
+    text = canonical_text(cfg)
+    again = config_from_strings(parse_kv_text(text))
+    assert again == cfg
+    assert canonical_text(again) == text
 
 
 def test_load_plain_file(tmp_path):

@@ -306,10 +306,12 @@ def test_cli_overrides(tmp_path):
 @pytest.mark.parametrize(
     "command, flag, value",
     [
+        ("figure2", "--seed", "5"),
         ("figure2", "--trials", "150"),
         ("figure2", "--qubits", "5"),
         ("figure2", "--sigma-over-pi", "0.02"),
         ("figure3", "--qubits", "5"),
+        ("prepare", "--seed", "5"),
         ("prepare", "--trials", "7"),
         ("prepare", "--sigma-over-pi", "0.02"),
         ("measure-demo", "--trials", "150"),

@@ -15,7 +15,6 @@ from dotchain import (
     init_plus_chain,
     state_fidelity,
     stabilizer_expectation,
-    write_state_csv,
 )
 from dotchain.state import prefix_cluster_fidelities
 
@@ -287,15 +286,3 @@ def test_global_phase_insensitivity():
         assert project(rotated, spec, +1)[0] == pytest.approx(
             project(state, spec, +1)[0], abs=1e-12
         )
-
-
-def test_state_csv_dump(tmp_path):
-    state = ideal_cluster(2)
-    path = tmp_path / "state.csv"
-    write_state_csv(state, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "basis_index_qubit0_msb,amplitude_real,amplitude_imag"
-    assert len(lines) == 5
-    parsed = [line.split(",") for line in lines[1:]]
-    values = np.array([float(r) + 1j * float(i) for _, r, i in parsed])
-    assert np.allclose(values, state.amplitudes)
