@@ -22,7 +22,7 @@ from . import __version__
 from .config import ExperimentConfig, canonical_text
 from .constants import constants_table
 from .measurement import NAMED_AXES, run_schedule, schedule_rounds
-from .noise import PhaseNoiseModel, exact_mean_fidelity, monte_carlo_fidelities
+from .noise import PhaseNoiseModel, exact_mean_fidelities, monte_carlo_fidelities
 from .physics import adiabatic_angle, ising_coupling
 from .pulse import accumulated_phase, bond_phase_vector
 from .rng import RNG_ALGORITHM
@@ -111,12 +111,14 @@ def run_figure3(cfg: ExperimentConfig, out_dir) -> dict[str, Path]:
 
     Each row carries both the Monte Carlo estimate and the exact Gaussian
     average so the two estimators can be compared downstream. All rows come
-    from one monte_carlo_fidelities call. Every row reads trials
-    0 .. trials - 1 of cfg.seed, and rows of one stream width
+    from one monte_carlo_fidelities call and one exact_mean_fidelities
+    call, which takes one transfer-matrix pass per distinct sigma. Every
+    row reads trials 0 .. trials - 1 of cfg.seed, and rows of one stream width
     ceil((n - 1) / 4) draw each trial once between them, so rows are
     correlated, as they always were. Trials are drawn in chunks of
-    noise.CHUNK_ELEMENTS // max(distinct sigmas, bonds) and contracted one
-    bond at a time, so each per-chunk array stays within 128 KiB. The
+    noise.CHUNK_ELEMENTS // max(distinct sigmas, bonds), each bond's normals
+    one contiguous row, and contracted one bond at a time with bond factors
+    from cos and sin, so each per-chunk array stays within 128 KiB. The
     widest width holds n = 18..20 and the whole sigma sweep, so at most
     (3 + len(sigma_over_pi)) x trials x 8 B of per-trial fidelities are held
     at once. Rows follow the config order; a repeated sigma repeats its row.
@@ -126,9 +128,10 @@ def run_figure3(cfg: ExperimentConfig, out_dir) -> dict[str, Path]:
     grid += [(20, sigma_over_pi) for sigma_over_pi in cfg.sigma_over_pi]
     points = [(n, PhaseNoiseModel(sigma_rad=sigma_over_pi * math.pi)) for n, sigma_over_pi in grid]
     estimates = monte_carlo_fidelities(points, cfg.trials, cfg.seed)
+    exact = exact_mean_fidelities(points)
     rows = [
-        (n, sigma_over_pi, mc.mean, mc.standard_error, exact_mean_fidelity(n, model), cfg.trials, cfg.seed)
-        for (n, sigma_over_pi), (_, model), mc in zip(grid, points, estimates)
+        (n, sigma_over_pi, mc.mean, mc.standard_error, mean, cfg.trials, cfg.seed)
+        for (n, sigma_over_pi), mc, mean in zip(grid, estimates, exact)
     ]
 
     path = out / "fidelity.csv"

@@ -166,7 +166,7 @@ def _check(state: ChainState, qubits) -> None:
     for q in qubits:
         if q >= state.n_qubits:
             raise ValueError(f"qubit {q} out of range for {state.n_qubits} qubits")
-    if abs(state.norm() - 1.0) > NORM_ATOL:
+    if not abs(state.norm() - 1.0) <= NORM_ATOL:  # a NaN norm fails too
         raise ValueError("state is not normalized")
 
 

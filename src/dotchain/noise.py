@@ -20,18 +20,22 @@ Two estimators of the mean fidelity, kept deliberately independent:
   as a prefix. Points that share trials have correlated estimates, as
   separate calls with one seed always had. A chunk holds
   CHUNK_ELEMENTS // max(distinct sigmas, bonds) trials, at least one. Its
-  normals are drawn once and handed to the contraction one bond at a time,
+  normals are drawn once, transposed once so that each bond's normals are
+  one contiguous row, and handed to the contraction one bond at a time,
   as one sigma x trial array per bond, so no sigma x trial x bond buffer is
   built and every per-chunk array stays within 128 KiB at any chain
   length. At most (points of one width) x trials x 8 B of per-trial
   fidelities are held at once. Each trial's value is independent of the
-  trial count, the chunking and the rest of the grid;
-- exact_mean_fidelity integrates the Gaussian analytically. The average of
-  exp(i delta (u - u')) over delta is exp(-sigma^2/2) whenever the bond
-  occupations u, u' of a basis-state pair differ, so
+  trial count, the chunk size (whatever CHUNK_ELEMENTS is) and the rest of
+  the grid;
+- exact_mean_fidelities integrates the Gaussian analytically, for a whole
+  grid of points at once; exact_mean_fidelity is its one-point view. The
+  average of exp(i delta (u - u')) over delta is exp(-sigma^2/2) whenever
+  the bond occupations u, u' of a basis-state pair differ, so
   E[F] = 4^-n * sum_{z,z'} exp(-sigma^2 * d(z,z') / 2) with d counting
   disagreeing bonds; the double sum factorizes into a 4x4 transfer-matrix
-  product over the pair chain, linear in n.
+  product over the pair chain, linear in n, and one product per distinct
+  sigma gives every chain length of that sigma as a prefix.
 """
 
 from __future__ import annotations
@@ -42,16 +46,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import NOISE, normal_width, normals
-from .state import MAX_QUBITS, _contract_bonds
+from .state import MAX_QUBITS, _bond_factor, _contract_bonds
 
 # Element budget of one chunk of trials: a chunk holds
 # _chunk_trials(distinct sigmas, bonds) trials, so it draws at most
 # CHUNK_ELEMENTS normals (64 KiB) and every per-bond complex array of the
 # contraction (sigmas x trials) stays within 128 KiB, for any chain length.
-# Not larger: once a complex temporary reaches 256 KiB (16384 rows), numpy's
-# temporary elision runs the contraction's arithmetic in place and the last
-# bit of some fidelities moves (an 11 x 2000 batch differed from 100-trial
-# chunks in about 1100 of 22000 values; batches of up to 16368 rows matched).
+# Values do not depend on it: state._contract_bonds names both operands of
+# its complex product, so numpy's temporary elision, which works in place on
+# temporaries of 256 KiB or more, cannot swap them and move the last bit of a
+# fidelity (it did while the product took an unnamed np.exp temporary).
+# The budget only bounds memory.
 CHUNK_ELEMENTS = 8192
 
 
@@ -135,9 +140,11 @@ def _reduce_trial_fidelities(points, trials: int, seed: int, reduce) -> list:
         count = _chunk_trials(len(sigmas), bonds)
         for start in range(0, trials, count):
             size = min(count, trials - start)
-            z = normals(seed, NOISE, start, size, bonds)
-            columns = (np.pi + scale * z[:, b] for b in range(bonds))
-            by_prefix = dict(zip(prefixes, _contract_bonds(columns, (len(sigmas), size), prefixes)))
+            # one transpose a chunk, so that each bond's normals are a contiguous row
+            by_bond = normals(seed, NOISE, start, size, bonds).T.copy()
+            # the error of the phase pi + sigma z, rounded as sample_bond_errors rounds it
+            factors = (_bond_factor((np.pi + scale * z) - np.pi) for z in by_bond)
+            by_prefix = dict(zip(prefixes, _contract_bonds(factors, (len(sigmas), size), prefixes)))
             for i in members:
                 n_qubits, model = points[i]
                 fidelities[i][start : start + size] = by_prefix[n_qubits - 1][row[model.sigma_rad]]
@@ -207,20 +214,39 @@ def _pair_transfer_matrix(sigma_rad: float) -> np.ndarray:
     return np.where(_DISAGREE, math.exp(-0.5 * sigma_rad * sigma_rad), 1.0)
 
 
+def exact_mean_fidelities(points) -> list[float]:
+    """Gaussian-averaged fidelity of each (n_qubits, model) point, in order.
+
+    One pass per distinct sigma contracts the pair-chain transfer matrix up
+    to that sigma's longest chain and reads every shorter chain on the way,
+    so each value is the one a pass of its own would give, bit for bit.
+    Each step divides by 4, so the 4^-n normalisation is carried along and
+    the contraction cannot overflow; scaling by a power of two is exact, so
+    each value equals the unscaled sum divided by 4^n.
+    """
+    points = list(points)
+    lengths: dict[float, set[int]] = {}
+    for n_qubits, model in points:
+        if not 2 <= n_qubits <= MAX_QUBITS:
+            raise ValueError(f"n_qubits must lie in [2, {MAX_QUBITS}], got {n_qubits}")
+        lengths.setdefault(model.sigma_rad, set()).add(n_qubits)
+    values = {}
+    for sigma, wanted in lengths.items():
+        t = _pair_transfer_matrix(sigma)
+        v = np.ones(4) / 4.0
+        for n_qubits in range(2, max(wanted) + 1):
+            v = (t @ v) * 0.25
+            if n_qubits in wanted:
+                values[sigma, n_qubits] = float(v.sum())
+    return [values[model.sigma_rad, n_qubits] for n_qubits, model in points]
+
+
 def exact_mean_fidelity(n_qubits: int, model: PhaseNoiseModel) -> float:
     """Gaussian-averaged fidelity, evaluated exactly in O(n).
 
-    Contracts the pair-chain transfer matrix n-1 times; agrees with the
-    brute-force 4^n double sum (the test oracle for n <= 6) to machine
-    precision, and with monte_carlo_fidelity within sampling error. Each
-    step divides by 4, so the 4^-n normalisation is carried along and the
-    contraction cannot overflow; scaling by a power of two is exact, so the
-    value equals the unscaled sum divided by 4^n.
+    The one-point view of exact_mean_fidelities: contracts the pair-chain
+    transfer matrix n-1 times. Agrees with the brute-force 4^n double sum
+    (the test oracle for n <= 6) to machine precision, and with
+    monte_carlo_fidelity within sampling error.
     """
-    if not 2 <= n_qubits <= MAX_QUBITS:
-        raise ValueError(f"n_qubits must lie in [2, {MAX_QUBITS}], got {n_qubits}")
-    t = _pair_transfer_matrix(model.sigma_rad)
-    v = np.ones(4) / 4.0
-    for _ in range(n_qubits - 1):
-        v = (t @ v) * 0.25
-    return float(v.sum())
+    return exact_mean_fidelities([(n_qubits, model)])[0]

@@ -4,10 +4,11 @@ Everything here deliberately avoids the code paths under test: the phase
 integral is a fixed-step trapezoid over inlined formulas, operators are
 kron-built dense matrices, the mean fidelity is a 4^n enumeration, and a
 Monte Carlo grid point is estimated alone, by drawing and contracting its
-own trials. Two loops are kept in the form they had before they were
+own trials. Three loops are kept in the form they had before they were
 optimised, as byte-identity references: the measurement loop that builds a
-MeasurementSpec and the projector for every measurement, and the mean
-fidelity contraction that divides by 4^n at the end.
+MeasurementSpec and the projector for every measurement, the mean fidelity
+contraction that divides by 4^n at the end, and the bond contraction that
+takes every bond factor from np.exp.
 """
 
 from __future__ import annotations
@@ -131,6 +132,31 @@ def unscaled_mean_fidelity(n_qubits: int, sigma_rad: float) -> float:
     for _ in range(n_qubits - 1):
         v = t @ v
     return float(v.sum() / 4.0**n_qubits)
+
+
+def exp_contract_bonds(bond_columns, batch_shape, prefixes) -> list:
+    """prefix_cluster_fidelities over bond phases handed over one bond at a time.
+
+    bond_columns yields the phases of bond 0, 1, ... as arrays of
+    batch_shape (numpy scalars for an empty batch shape), so no
+    batch x bonds buffer is needed; only as many bonds as the longest
+    prefix are read. Prefixes must already be validated.
+    """
+    wanted = set(prefixes)
+    last = max(wanted, default=0)
+    bonds = iter(bond_columns)
+    w0 = np.ones(batch_shape, dtype=np.complex128)
+    w1 = np.ones(batch_shape, dtype=np.complex128)
+    fidelities = {}
+    for b in range(last + 1):
+        half = (w0 + w1) * 0.5  # overlap of the chain of the first b bonds
+        if b in wanted:
+            fidelity = np.abs(half) ** 2
+            fidelities[b] = float(fidelity) if fidelity.ndim == 0 else fidelity
+        if b < last:
+            rot = 1j * (next(bonds) - math.pi)  # exact: real part 0, imaginary part the delta
+            w0, w1 = half, (w0 + w1 * np.exp(rot)) * 0.5
+    return [fidelities[k] for k in prefixes]
 
 
 # The measurement loop that builds a MeasurementSpec and P for every

@@ -399,6 +399,21 @@ def test_run_schedule_rejects_denormalized_state():
         run_schedule(state, schedule_rounds(range(3)), {q: Z_AXIS for q in range(3)}, seed=0)
 
 
+def test_measurement_refuses_nan_amplitudes():
+    # a NaN norm is not within NORM_ATOL of 1, so the state is refused
+    # before any probability is formed
+    state = ideal_cluster(3)
+    state.amplitudes = state.amplitudes.copy()
+    state.amplitudes[5] = complex(math.nan, 0.0)
+    spec = MeasurementSpec(1, Z_AXIS)
+    with pytest.raises(ValueError, match="normalized"):
+        run_schedule(state, schedule_rounds(range(3)), {q: Z_AXIS for q in range(3)}, seed=0)
+    with pytest.raises(ValueError, match="normalized"):
+        measure(state, spec, seed=0)
+    with pytest.raises(ValueError, match="normalized"):
+        project(state, spec, +1)
+
+
 def test_intra_round_order_irrelevant():
     # projectors on non-adjacent qubits commute: both orders give the same
     # joint outcome probabilities, checked exactly by enumeration

@@ -6,9 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dotchain import (
+    MAX_QUBITS,
     FidelityEstimate,
     PhaseNoiseModel,
     apply_ising_phases,
+    exact_mean_fidelities,
     exact_mean_fidelity,
     ideal_cluster,
     init_plus_chain,
@@ -212,6 +214,30 @@ def test_grid_draws_stay_within_element_budget(monkeypatch):
     assert _chunk_trials(3, 10**5) == 1
 
 
+@pytest.mark.parametrize("budget", [2**15, 2**17])
+def test_values_do_not_depend_on_chunk_size(monkeypatch, budget):
+    # at the larger budgets the per-bond complex arrays reach 256 KiB, where
+    # numpy's temporary elision starts working in place
+    sigmas = [0.01 * k * math.pi for k in range(40)]
+    points = [(n, PhaseNoiseModel(s)) for n in (5, 24) for s in sigmas]
+    singles = [
+        (2, PhaseNoiseModel(SIGMA), 20_000),
+        (9, PhaseNoiseModel(0.1), 20_000),
+        (24, PhaseNoiseModel(SIGMA), 3000),
+    ]
+
+    def values():
+        grid = monte_carlo_fidelities(points, trials=3000, seed=47)
+        return grid, [trial_fidelities(n, model, trials, seed=47) for n, model, trials in singles]
+
+    grid, per_trial = values()
+    monkeypatch.setattr(noise, "CHUNK_ELEMENTS", budget)
+    grid_at_budget, per_trial_at_budget = values()
+    assert grid_at_budget == grid
+    for got, want in zip(per_trial_at_budget, per_trial):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_exact_zero_sigma():
     assert exact_mean_fidelity(12, PhaseNoiseModel(0.0)) == 1.0
 
@@ -239,6 +265,30 @@ def test_exact_matches_unscaled_contraction_bit_for_bit():
         assert exact_mean_fidelity(n, PhaseNoiseModel(sigma)) == unscaled_mean_fidelity(n, sigma)
     for n in range(2, 25):
         assert exact_mean_fidelity(n, PhaseNoiseModel(SIGMA)) == unscaled_mean_fidelity(n, SIGMA)
+
+
+def test_exact_grid_points_equal_single_point_calls():
+    # repeated and out-of-order points, a repeated sigma at other lengths;
+    # the unscaled contraction is a pass of its own per point
+    points = [(20, 0.05), (3, 0.03), (24, 0.0), (2, 0.03), (20, 0.03), (3, 0.03), (12, 0.05), (20, 0.05)]
+    rng = np.random.default_rng(9)
+    sigmas = rng.uniform(0.0, 0.3 * math.pi, 5)
+    points += [(int(rng.integers(2, 25)), float(rng.choice(sigmas)) / math.pi) for _ in range(60)]
+    models = [(n, PhaseNoiseModel(s * math.pi)) for n, s in points]
+    values = exact_mean_fidelities(models)
+    assert values == [exact_mean_fidelity(n, m) for n, m in models]
+    assert values == [unscaled_mean_fidelity(n, m.sigma_rad) for n, m in models]
+    assert exact_mean_fidelities(iter(models)) == values
+    assert exact_mean_fidelities([]) == []
+
+
+@pytest.mark.parametrize("n", [0, 1, MAX_QUBITS + 1])
+def test_exact_grid_refuses_chain_lengths_out_of_range(n):
+    model = PhaseNoiseModel(SIGMA)
+    with pytest.raises(ValueError, match="n_qubits"):
+        exact_mean_fidelities([(5, model), (n, model)])
+    with pytest.raises(ValueError, match="n_qubits"):
+        exact_mean_fidelity(n, model)
 
 
 def test_exact_mean_does_not_overflow(monkeypatch):

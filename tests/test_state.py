@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -19,7 +19,7 @@ from dotchain import (
 from dotchain.state import prefix_cluster_fidelities
 
 from conftest import random_state
-from oracles import ising_hamiltonian, stabilizer_operator
+from oracles import exp_contract_bonds, ising_hamiltonian, stabilizer_operator
 
 
 def test_init_plus_chain_amplitudes():
@@ -268,6 +268,59 @@ def test_prefix_fidelities_equal_truncated_chains():
         prefix_cluster_fidelities(vector, [10])
     with pytest.raises(ValueError):
         prefix_cluster_fidelities(math.pi, [0])
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batch=st.sampled_from([(), (1,), (3, 40), (11, 300)]),
+    bonds=st.integers(min_value=1, max_value=24),
+    exponents=st.tuples(
+        st.floats(min_value=-8.0, max_value=3.0), st.floats(min_value=-8.0, max_value=3.0)
+    ),
+    prefixes=st.lists(st.integers(min_value=0, max_value=24), max_size=4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(batch=(), bonds=19, exponents=(-2.0, -1.0), prefixes=[], seed=0)
+@example(batch=(1,), bonds=19, exponents=(-2.0, -1.0), prefixes=[], seed=0)
+def test_contraction_matches_exp_oracle_bit_for_bit(batch, bonds, exponents, prefixes, seed):
+    # 1-d vectors, one-row batches and sigma x trial batches, with phase
+    # errors of magnitude 1e-8 .. 1e3 around pi, against the np.exp kernel
+    rng = np.random.default_rng(seed)
+    lo, hi = sorted(exponents)
+    shape = batch + (bonds,)
+    deltas = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(lo, hi, shape)
+    phases = math.pi + deltas
+    columns = np.moveaxis(phases, -1, 0)
+    (want,) = exp_contract_bonds(columns, batch, [bonds])
+    assert _bits(ideal_cluster_fidelity(phases)) == _bits(want)
+    prefixes = [k for k in prefixes if k <= bonds]
+    got = prefix_cluster_fidelities(phases, prefixes)
+    assert [_bits(v) for v in got] == [_bits(v) for v in exp_contract_bonds(columns, batch, prefixes)]
+    if not batch:
+        assert isinstance(ideal_cluster_fidelity(phases), float)
+
+
+def test_cluster_fidelity_refuses_non_finite_phases():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            ideal_cluster_fidelity([bad, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            ideal_cluster_fidelity(np.array([[math.pi, math.pi], [math.pi, bad]]))
+        with pytest.raises(ValueError, match="finite"):
+            prefix_cluster_fidelities([math.pi, bad], [1])
+
+
+def test_chain_state_refuses_nan_amplitudes():
+    amps = np.full(4, 0.5, dtype=complex)
+    amps[2] = math.nan
+    with pytest.raises(ValueError, match="norm"):
+        ChainState(2, amps)
+    with pytest.raises(ValueError, match="norm"):
+        ChainState(1, np.array([complex(math.nan, 0.0), 0.0]))
 
 
 def test_global_phase_insensitivity():
