@@ -20,8 +20,6 @@ from .noise import (
     exact_mean_fidelity,
     monte_carlo_fidelities,
     monte_carlo_fidelity,
-    sample_bond_error_batch,
-    sample_bond_errors,
     trial_fidelities,
 )
 from .physics import (
@@ -93,8 +91,6 @@ __all__ = [
     "plateau_coupling",
     "project",
     "run_schedule",
-    "sample_bond_error_batch",
-    "sample_bond_errors",
     "schedule_rounds",
     "singlet_admixture",
     "solve_hold_time",

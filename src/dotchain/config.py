@@ -194,6 +194,8 @@ def load_config_file(path) -> dict[str, str]:
                     f"{path}: manifest {key} {manifest[key]!r} differs from this "
                     f"dotchain's {current!r}; replaying it would not reproduce its run"
                 )
+        if not isinstance(manifest["config_text"], str):
+            raise ConfigError(f"{path}: manifest config_text is not a string")
         return parse_kv_text(manifest["config_text"])
     return parse_kv_text(text)
 

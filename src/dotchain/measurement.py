@@ -25,6 +25,13 @@ post-state from measurement to measurement. measure, project and
 run_schedule share the kernel and the projector lookup, and measure and
 run_schedule share one sampler. Each public call checks its input state
 once (post-states built here were validated by ChainState).
+
+A MeasurementRecord is the classical outcome of one measurement: qubit,
+outcome and probability, the record a one-way computation keeps
+(Raussendorf & Briegel, PRL 86, 5188 (2001)). It holds no state. measure
+returns (record, post_state), as project returns (probability,
+post_state), and run_schedule returns its records while keeping only the
+current post-state, so at most one post-state outlives a step.
 """
 
 from __future__ import annotations
@@ -82,10 +89,11 @@ class MeasurementSpec:
 
 @dataclass(frozen=True)
 class MeasurementRecord:
+    """Classical outcome of one measurement; it holds no post-state."""
+
     qubit: int
     outcome: int  # +1 triplet branch, -1 singlet branch
     probability: float
-    post_state: ChainState
 
     def __post_init__(self) -> None:
         if self.outcome not in (-1, +1):
@@ -195,8 +203,10 @@ def project(
     return prob, _collapse(n, branch, prob)
 
 
-def _sample(n: int, amps: np.ndarray, qubit: int, plus_columns, u: float) -> MeasurementRecord:
-    """Outcome +1 when the uniform u falls below p+; amps is not re-checked."""
+def _sample(
+    n: int, amps: np.ndarray, qubit: int, plus_columns, u: float
+) -> tuple[MeasurementRecord, ChainState | None]:
+    """Record and post-state; outcome +1 when u falls below p+. amps is not re-checked."""
     plus = _apply_on_qubit(amps, plus_columns, qubit, n)
     p_plus = _probability(plus)
     if u < p_plus:
@@ -204,13 +214,16 @@ def _sample(n: int, amps: np.ndarray, qubit: int, plus_columns, u: float) -> Mea
     else:
         branch = amps - plus
         outcome, prob = -1, _probability(branch)
-    return MeasurementRecord(qubit, outcome, prob, _collapse(n, branch, prob))
+    return MeasurementRecord(qubit, outcome, prob), _collapse(n, branch, prob)
 
 
 def measure(
     state: ChainState, spec: MeasurementSpec, seed: int, stream: int = 0
-) -> MeasurementRecord:
-    """Sample one projective measurement; deterministic per (seed, stream).
+) -> tuple[MeasurementRecord, ChainState | None]:
+    """Sample one projective measurement: its record and its post-state.
+
+    Deterministic per (seed, stream). The post-state is renormalized, and it
+    is None only if the sampled outcome had probability 0.
 
     Checks the state once and draws stream `stream` of the seed's measurement
     domain. One projection serves both outcomes: the -1 branch is psi - P+ psi,
@@ -253,7 +266,7 @@ def run_schedule(
     stream t of the seed: one draw of k streams serves all k measurements.
     Only the input state is checked; each later measurement samples the
     post-state of the one before it, which this call built and ChainState
-    validated.
+    validated. Only that one post-state is kept; the records hold none.
     """
     order = [q for rnd in schedule.rounds for q in sorted(rnd)]
     _check(state, order)
@@ -262,7 +275,6 @@ def run_schedule(
     records: list[MeasurementRecord] = []
     current = state
     for q, plus_columns, u in zip(order, projectors, draws):
-        record = _sample(state.n_qubits, current.amplitudes, q, plus_columns, u)
+        record, current = _sample(state.n_qubits, current.amplitudes, q, plus_columns, u)
         records.append(record)
-        current = record.post_state
     return records

@@ -87,30 +87,6 @@ class FidelityEstimate:
             raise ValueError("n_trials must be >= 1")
 
 
-def sample_bond_error_batch(
-    model: PhaseNoiseModel, n_bonds: int, seed: int, first_stream: int, n_streams: int
-) -> np.ndarray:
-    """Noisy bond phases of consecutive streams, one row per stream.
-
-    Row t is exactly sample_bond_errors(model, n_bonds, seed, first_stream + t);
-    the whole batch is one vectorised Philox draw.
-    """
-    if n_bonds < 1:
-        raise ValueError(f"n_bonds must be >= 1, got {n_bonds}")
-    return np.pi + model.sigma_rad * normals(seed, NOISE, first_stream, n_streams, n_bonds)
-
-
-def sample_bond_errors(
-    model: PhaseNoiseModel, n_bonds: int, seed: int, stream: int = 0
-) -> np.ndarray:
-    """Noisy bond phases pi + delta_b, delta_b iid N(0, sigma).
-
-    Deterministic per (seed, stream); Monte Carlo trial t draws from
-    stream t of the run's base seed.
-    """
-    return sample_bond_error_batch(model, n_bonds, seed, stream, 1)[0]
-
-
 def _chunk_trials(n_sigmas: int, n_bonds: int) -> int:
     """Trials per chunk: CHUNK_ELEMENTS spread over the wider of sigmas and bonds."""
     return max(1, CHUNK_ELEMENTS // max(n_sigmas, n_bonds))
@@ -142,7 +118,7 @@ def _reduce_trial_fidelities(points, trials: int, seed: int, reduce) -> list:
             size = min(count, trials - start)
             # one transpose a chunk, so that each bond's normals are a contiguous row
             by_bond = normals(seed, NOISE, start, size, bonds).T.copy()
-            # the error of the phase pi + sigma z, rounded as sample_bond_errors rounds it
+            # (pi + sigma z) - pi, not sigma z: the trial's phase error as rounded in float64
             factors = (_bond_factor((np.pi + scale * z) - np.pi) for z in by_bond)
             by_prefix = dict(zip(prefixes, _contract_bonds(factors, (len(sigmas), size), prefixes)))
             for i in members:

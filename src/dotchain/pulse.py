@@ -95,15 +95,6 @@ class DetuningPulse:
             fraction = (self.duration_ns - t_ns) / self.ramp_down_ns
         return min(lo + (hi - lo) * fraction, hi)
 
-    def time_reversed(self) -> "DetuningPulse":
-        return DetuningPulse(
-            ramp_up_ns=self.ramp_down_ns,
-            hold_ns=self.hold_ns,
-            ramp_down_ns=self.ramp_up_ns,
-            eps_low_mev=self.eps_low_mev,
-            eps_high_mev=self.eps_high_mev,
-        )
-
 
 def detuning_window(
     dev: DeviceParams, eps_low_mev: float | None = None, eps_high_mev: float | None = None

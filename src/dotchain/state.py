@@ -114,16 +114,24 @@ def stabilizer_expectation(state: ChainState, site: int) -> float:
             sel[neighbor] = 1
             phi[tuple(sel)] *= -1.0
     phi = np.flip(phi, axis=site)  # X on the site
-    value = np.vdot(state.amplitudes, phi.reshape(-1))
+    value = _finite(np.vdot(state.amplitudes, phi.reshape(-1)).real)
     # Rounding in the 2^(-n/2) amplitudes can overshoot a Pauli expectation.
-    return min(max(float(value.real), -1.0), 1.0)
+    return min(max(value, -1.0), 1.0)
 
 
 def state_fidelity(a: ChainState, b: ChainState) -> float:
     """|<a|b>|^2 clipped to [0, 1]; 1 iff the states agree up to global phase."""
     if a.n_qubits != b.n_qubits:
         raise ValueError(f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}")
-    return min(float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2), 1.0)
+    return min(_finite(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2), 1.0)
+
+
+def _finite(value) -> float:
+    """value as a float, refused if it is not finite, so no clamp hides a NaN."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"the amplitudes give the non-finite value {value}")
+    return value
 
 
 def ideal_cluster_fidelity(bond_phases) -> np.ndarray | float:

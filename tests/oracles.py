@@ -19,8 +19,8 @@ from itertools import product
 import numpy as np
 
 from dotchain.measurement import MeasurementRecord, MeasurementSpec
-from dotchain.noise import PhaseNoiseModel, sample_bond_error_batch
-from dotchain.rng import MEASUREMENT, uniforms
+from dotchain.noise import PhaseNoiseModel
+from dotchain.rng import MEASUREMENT, NOISE, normals, uniforms
 from dotchain.state import NORM_ATOL, ChainState, ideal_cluster_fidelity
 
 HBAR_MEV_NS = 6.582119e-16 * 1e12
@@ -102,6 +102,20 @@ def brute_mean_fidelity(n: int, sigma_rad: float) -> float:
     return total / 4.0**n
 
 
+def sample_bond_error_batch(
+    model: PhaseNoiseModel, n_bonds: int, seed: int, first_stream: int, n_streams: int
+) -> np.ndarray:
+    """Noisy bond phases pi + delta_b of consecutive streams, one row per stream.
+
+    Row t holds the phases of Monte Carlo trial first_stream + t, delta_b iid
+    N(0, sigma), deterministic per (seed, stream); the whole batch is one
+    vectorised Philox draw. This is the grid's per-point reference draw.
+    """
+    if n_bonds < 1:
+        raise ValueError(f"n_bonds must be >= 1, got {n_bonds}")
+    return np.pi + model.sigma_rad * normals(seed, NOISE, first_stream, n_streams, n_bonds)
+
+
 def per_point_monte_carlo(n: int, sigma_rad: float, trials: int, seed: int) -> tuple[float, float]:
     """Mean fidelity and its standard error for one grid point on its own.
 
@@ -160,7 +174,7 @@ def exp_contract_bonds(bond_columns, batch_shape, prefixes) -> list:
 
 
 # The measurement loop that builds a MeasurementSpec and P for every
-# measurement and carries ChainStates from record to record.
+# measurement and carries the post-state from measurement to measurement.
 
 
 def _apply_on_qubit(amps: np.ndarray, mat: np.ndarray, qubit: int, n: int) -> np.ndarray:
@@ -207,7 +221,9 @@ def spec_loop_project(
     return prob, _collapse(state.n_qubits, branch, prob)
 
 
-def _sample(state: ChainState, spec: MeasurementSpec, u: float) -> MeasurementRecord:
+def _sample(
+    state: ChainState, spec: MeasurementSpec, u: float
+) -> tuple[MeasurementRecord, ChainState | None]:
     """Outcome +1 when the uniform u falls below p+; the state is not re-checked."""
     plus = _branch(state, spec, +1)
     p_plus = _probability(plus)
@@ -216,12 +232,12 @@ def _sample(state: ChainState, spec: MeasurementSpec, u: float) -> MeasurementRe
     else:
         branch = state.amplitudes - plus
         outcome, prob = -1, _probability(branch)
-    return MeasurementRecord(spec.qubit, outcome, prob, _collapse(state.n_qubits, branch, prob))
+    return MeasurementRecord(spec.qubit, outcome, prob), _collapse(state.n_qubits, branch, prob)
 
 
 def spec_loop_measure(
     state: ChainState, spec: MeasurementSpec, seed: int, stream: int = 0
-) -> MeasurementRecord:
+) -> tuple[MeasurementRecord, ChainState | None]:
     _check(state, (spec.qubit,))
     return _sample(state, spec, uniforms(seed, MEASUREMENT, stream, 1)[0, 0])
 
@@ -231,7 +247,8 @@ def spec_loop_run_schedule(state: ChainState, schedule, bases, seed: int) -> lis
     order = [q for rnd in schedule.rounds for q in sorted(rnd)]
     draws = uniforms(seed, MEASUREMENT, 0, len(order))[:, 0] if order else ()
     records: list[MeasurementRecord] = []
+    current = state
     for q, u in zip(order, draws):
-        current = records[-1].post_state if records else state
-        records.append(_sample(current, MeasurementSpec(qubit=q, basis=tuple(bases[q])), u))
+        record, current = _sample(current, MeasurementSpec(qubit=q, basis=tuple(bases[q])), u)
+        records.append(record)
     return records

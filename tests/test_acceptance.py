@@ -162,7 +162,7 @@ def test_criterion_8_measurement_semantics():
         prob, post = project(state, spec, outcome)
         assert prob == pytest.approx(0.5, abs=1e-12)
         assert np.max(np.abs(post.amplitudes - target)) <= 1e-10
-    sampled = measure(state, spec, seed=1)
+    sampled, _ = measure(state, spec, seed=1)
     assert sampled.outcome in (-1, +1)
 
     sched_rng = np.random.default_rng(42)

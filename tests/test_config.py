@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -220,6 +221,15 @@ def test_load_rejects_mismatched_manifest(tmp_path, field, value):
     path.write_text(json.dumps(manifest))
     with pytest.raises(ConfigError, match=field):
         load_config_file(path)
+
+
+def test_package_version_matches_pyproject():
+    # manifests carry __version__ as their artifact_version; the installed
+    # distribution must declare the same version
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == __version__
 
 
 def test_build_pulse_calibrates():

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 import dotchain
 from dotchain import plateau_coupling, solve_hold_time
 from dotchain.cli import main
-from dotchain.config import config_from_strings, load_config_file
+from dotchain.config import ConfigError, config_from_strings, load_config_file
 from dotchain.harness import run_figure2, run_figure3, run_measure_demo, run_prepare
 from dotchain.noise import CHUNK_ELEMENTS
 from dotchain.rng import normal_width
@@ -340,6 +340,20 @@ def test_cli_missing_config_is_validation_failure(tmp_path):
         main, ["figure2", "--config", str(tmp_path / "absent.cfg"), "--out", str(tmp_path)]
     )
     assert result.exit_code == 1
+
+
+@pytest.mark.parametrize("config_text", [5, None, ["seed = 3"]])
+def test_manifest_config_text_must_be_text(tmp_path, config_text):
+    manifest = tmp_path / "run_manifest.json"
+    manifest.write_text(json.dumps({"config_text": config_text}))
+    with pytest.raises(ConfigError, match="config_text is not a string"):
+        load_config_file(manifest)
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["prepare", "--config", str(manifest), "--out", str(out)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "config_text is not a string" in result.output
+    assert not out.exists()
 
 
 def test_cli_reports_unreachable_calibration(tmp_path):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -54,29 +56,28 @@ def test_spec_validation():
 
 
 def test_record_validation():
-    state = ket(1, 0)
     with pytest.raises(ValueError):
-        MeasurementRecord(qubit=0, outcome=2, probability=0.5, post_state=state)
+        MeasurementRecord(qubit=0, outcome=2, probability=0.5)
     with pytest.raises(ValueError):
-        MeasurementRecord(qubit=0, outcome=1, probability=1.5, post_state=state)
+        MeasurementRecord(qubit=0, outcome=1, probability=1.5)
 
 
 def test_z_measurement_of_singlet_state():
     # |0> is the singlet: the charge moves, outcome -1, with certainty
-    record = measure(ket(1, 0), MeasurementSpec(0, Z_AXIS), seed=0)
+    record, post = measure(ket(1, 0), MeasurementSpec(0, Z_AXIS), seed=0)
     assert record.outcome == -1
     assert record.probability == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(record.post_state.amplitudes, [1, 0])
+    assert np.allclose(post.amplitudes, [1, 0])
 
 
 def test_z_measurement_of_triplet_state():
-    record = measure(ket(0, 1), MeasurementSpec(0, Z_AXIS), seed=0)
+    record, _ = measure(ket(0, 1), MeasurementSpec(0, Z_AXIS), seed=0)
     assert record.outcome == +1
     assert record.probability == pytest.approx(1.0, abs=1e-12)
 
 
 def test_x_measurement_of_plus_state():
-    record = measure(ket(1, 1), MeasurementSpec(0, X_AXIS), seed=0)
+    record, _ = measure(ket(1, 1), MeasurementSpec(0, X_AXIS), seed=0)
     assert record.outcome == +1
     assert record.probability == pytest.approx(1.0, abs=1e-12)
 
@@ -96,10 +97,10 @@ def test_measure_rejects_bad_input():
 def test_measure_deterministic_per_seed():
     state = ideal_cluster(3)
     spec = MeasurementSpec(1, X_AXIS)
-    a = measure(state, spec, seed=5, stream=2)
-    b = measure(state, spec, seed=5, stream=2)
+    a, a_post = measure(state, spec, seed=5, stream=2)
+    b, b_post = measure(state, spec, seed=5, stream=2)
     assert a.outcome == b.outcome and a.probability == b.probability
-    assert np.array_equal(a.post_state.amplitudes, b.post_state.amplitudes)
+    assert np.array_equal(a_post.amplitudes, b_post.amplitudes)
 
 
 def _random_axis(rng):
@@ -124,10 +125,10 @@ def test_remeasurement_idempotent():
         n = int(rng.integers(1, 4))
         state = random_state(n, rng)
         spec = MeasurementSpec(int(rng.integers(0, n)), _random_axis(rng))
-        record = measure(state, spec, seed=int(rng.integers(0, 1000)))
-        p_same, post = project(record.post_state, spec, record.outcome)
+        record, post_state = measure(state, spec, seed=int(rng.integers(0, 1000)))
+        p_same, post = project(post_state, spec, record.outcome)
         assert p_same == pytest.approx(1.0, abs=1e-10)
-        repeat = measure(record.post_state, spec, seed=999)
+        repeat, _ = measure(post_state, spec, seed=999)
         assert repeat.outcome == record.outcome
 
 
@@ -139,10 +140,10 @@ def test_unlikely_minus_outcome_keeps_precision():
     p_minus = 2.0 * (1.0 - u[stream])
     angle = math.asin(math.sqrt(p_minus))
     state = ket(math.sin(angle), math.cos(angle))
-    record = measure(state, MeasurementSpec(0, Z_AXIS), seed=0, stream=stream)
+    record, post = measure(state, MeasurementSpec(0, Z_AXIS), seed=0, stream=stream)
     assert record.outcome == -1
     assert record.probability == pytest.approx(math.sin(angle) ** 2, rel=1e-13)
-    assert np.allclose(record.post_state.amplitudes, [1, 0], atol=1e-12)
+    assert np.allclose(post.amplitudes, [1, 0], atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -256,18 +257,20 @@ def test_run_schedule_equals_measure_loop():
         current, stream = state, 0
         for rnd in schedule.rounds:
             for q in sorted(rnd):
-                expected = measure(current, MeasurementSpec(q, bases[q]), seed, stream=stream)
+                expected, post = measure(current, MeasurementSpec(q, bases[q]), seed, stream=stream)
                 record = records[stream]
                 assert (record.qubit, record.outcome) == (q, expected.outcome)
                 assert record.probability == expected.probability
-                assert record.post_state.amplitudes.tobytes() == expected.post_state.amplitudes.tobytes()
-                current, stream = expected.post_state, stream + 1
+                current, stream = post, stream + 1
         assert stream == len(records) == 6
 
 
 def _record_bytes(record):
-    post = None if record.post_state is None else record.post_state.amplitudes.tobytes()
-    return record.qubit, record.outcome, repr(record.probability), post
+    return record.qubit, record.outcome, repr(record.probability)
+
+
+def _state_bytes(state):
+    return None if state is None else state.amplitudes.tobytes()
 
 
 # Axes as a caller may pass them: named tuples, random unit axes, int-valued
@@ -314,8 +317,12 @@ def test_measurement_bytes_match_spec_loop_oracle(n, seed, cluster, kinds, data)
     assert [_record_bytes(r) for r in records] == [_record_bytes(r) for r in expected]
     for stream, q in enumerate(schedule.qubits):
         spec = MeasurementSpec(q, tuple(bases[q]))
-        got, want = measure(state, spec, seed, stream), spec_loop_measure(state, spec, seed, stream)
+        (got, got_post), (want, want_post) = (
+            measure(state, spec, seed, stream),
+            spec_loop_measure(state, spec, seed, stream),
+        )
         assert _record_bytes(got) == _record_bytes(want)
+        assert _state_bytes(got_post) == _state_bytes(want_post)
         for outcome in (-1, +1):
             (p, post), (p_want, post_want) = (
                 project(state, spec, outcome),
@@ -390,6 +397,27 @@ def test_prepared_cluster_shots_keep_probabilities_in_range():
             assert 0.0 < record.probability <= 1.0
             probabilities.append(record.probability)
     assert 1.0 in probabilities
+
+
+def test_run_schedule_keeps_one_live_post_state():
+    # a record is an outcome, not a state: a schedule over all 16 qubits of
+    # a prepared chain peaks at a few state vectors (the kernel's temporaries
+    # and the current post-state), not one kept per record
+    n = 16
+    state, _ = prepare_chain(config_from_strings({"n_qubits": str(n)}))
+    schedule = schedule_rounds(range(n))
+    bases = {q: X_AXIS for q in range(n)}
+    tracemalloc.start()
+    try:
+        records = run_schedule(state, schedule, bases, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == n
+    assert peak <= 6 * state.amplitudes.nbytes
+    for record in records:
+        for field in dataclasses.fields(record):
+            assert not isinstance(getattr(record, field.name), (np.ndarray, ChainState))
 
 
 def test_run_schedule_rejects_denormalized_state():

@@ -17,15 +17,18 @@ from dotchain import (
     ideal_cluster_fidelity,
     monte_carlo_fidelities,
     monte_carlo_fidelity,
-    sample_bond_error_batch,
-    sample_bond_errors,
     state_fidelity,
     trial_fidelities,
 )
 from dotchain import noise
 from dotchain.noise import CHUNK_ELEMENTS, _chunk_trials
 
-from oracles import brute_mean_fidelity, per_point_monte_carlo, unscaled_mean_fidelity
+from oracles import (
+    brute_mean_fidelity,
+    per_point_monte_carlo,
+    sample_bond_error_batch,
+    unscaled_mean_fidelity,
+)
 
 SIGMA = 0.03 * math.pi
 
@@ -48,18 +51,19 @@ def test_estimate_validation():
 
 
 def test_sample_zero_sigma_is_exact_pi():
-    phases = sample_bond_errors(PhaseNoiseModel(0.0), 5, seed=3)
+    model = PhaseNoiseModel(0.0)
+    phases = sample_bond_error_batch(model, 5, seed=3, first_stream=0, n_streams=1)[0]
     assert np.array_equal(phases, np.full(5, math.pi))
 
 
 def test_sample_determinism():
     model = PhaseNoiseModel(SIGMA)
-    a = sample_bond_errors(model, 7, seed=11, stream=4)
-    b = sample_bond_errors(model, 7, seed=11, stream=4)
+    a = sample_bond_error_batch(model, 7, seed=11, first_stream=4, n_streams=1)[0]
+    b = sample_bond_error_batch(model, 7, seed=11, first_stream=4, n_streams=1)[0]
     assert np.array_equal(a, b)
-    c = sample_bond_errors(model, 7, seed=11, stream=5)
+    c = sample_bond_error_batch(model, 7, seed=11, first_stream=5, n_streams=1)[0]
     assert not np.array_equal(a, c)
-    d = sample_bond_errors(model, 7, seed=12, stream=4)
+    d = sample_bond_error_batch(model, 7, seed=12, first_stream=4, n_streams=1)[0]
     assert not np.array_equal(a, d)
 
 
@@ -71,7 +75,8 @@ def test_batch_rows_equal_single_streams():
     batch = sample_bond_error_batch(model, 6, seed=19, first_stream=first, n_streams=count)
     assert batch.shape == (count, 6)
     for t in range(count):
-        assert np.array_equal(batch[t], sample_bond_errors(model, 6, seed=19, stream=first + t))
+        row = sample_bond_error_batch(model, 6, seed=19, first_stream=first + t, n_streams=1)[0]
+        assert np.array_equal(batch[t], row)
 
 
 def test_trial_fidelities_follow_streams():
@@ -81,7 +86,7 @@ def test_trial_fidelities_follow_streams():
     trials = 2 * _chunk_trials(1, 4) + 7
     fidelities = trial_fidelities(5, model, trials, seed=23)
     for t in range(trials):
-        phases = sample_bond_errors(model, 4, seed=23, stream=t)
+        phases = sample_bond_error_batch(model, 4, seed=23, first_stream=t, n_streams=1)[0]
         assert fidelities[t] == ideal_cluster_fidelity(phases[np.newaxis])[0]
 
 
@@ -95,14 +100,17 @@ def test_trial_fidelities_prefix_property():
 
 def test_sample_validation():
     with pytest.raises(ValueError):
-        sample_bond_errors(PhaseNoiseModel(0.1), 0, seed=1)
+        sample_bond_error_batch(PhaseNoiseModel(0.1), 0, seed=1, first_stream=0, n_streams=1)[0]
 
 
 def test_sample_moments():
     model = PhaseNoiseModel(SIGMA)
     n = 100_000
     deltas = np.concatenate(
-        [sample_bond_errors(model, 10, seed=21, stream=t) - math.pi for t in range(n // 10)]
+        [
+            sample_bond_error_batch(model, 10, seed=21, first_stream=t, n_streams=1)[0] - math.pi
+            for t in range(n // 10)
+        ]
     )
     assert abs(deltas.mean()) <= 3 * SIGMA / math.sqrt(n)
     assert deltas.std(ddof=1) == pytest.approx(SIGMA, rel=0.02)
@@ -147,7 +155,7 @@ def test_monte_carlo_matches_dense_route():
     ideal = ideal_cluster(n)
     fidelities = []
     for t in range(300):
-        phases = sample_bond_errors(model, n - 1, seed, stream=t)
+        phases = sample_bond_error_batch(model, n - 1, seed, first_stream=t, n_streams=1)[0]
         noisy = apply_ising_phases(init_plus_chain(n), phases)
         assert abs(noisy.norm() - 1.0) <= 1e-10  # phase noise stays unitary
         fidelities.append(state_fidelity(ideal, noisy))

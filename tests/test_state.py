@@ -323,6 +323,21 @@ def test_chain_state_refuses_nan_amplitudes():
         ChainState(1, np.array([complex(math.nan, 0.0), 0.0]))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * -1 as complex
+def test_dense_verifiers_refuse_nan_amplitudes():
+    # ChainState checks its norm only when built; a NaN set afterwards must
+    # not pass through the clamps of either verifier as a NaN result
+    for bad in (math.nan, math.inf):
+        state = ideal_cluster(3)
+        state.amplitudes[5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            stabilizer_expectation(state, 1)
+        with pytest.raises(ValueError, match="non-finite"):
+            state_fidelity(state, ideal_cluster(3))
+        with pytest.raises(ValueError, match="non-finite"):
+            state_fidelity(ideal_cluster(3), state)
+
+
 def test_global_phase_insensitivity():
     from dotchain import MeasurementSpec, project
     from dotchain.measurement import Z_AXIS
