@@ -35,11 +35,9 @@ from .pulse import (
     CalibrationError,
     DetuningPulse,
     accumulated_phase,
-    bond_phase_vector,
     check_adiabaticity,
     plateau_coupling,
     solve_hold_time,
-    symmetric_pulse,
 )
 from .rng import RNG_ALGORITHM
 from .state import (
@@ -73,7 +71,6 @@ __all__ = [
     "accumulated_phase",
     "adiabatic_angle",
     "apply_ising_phases",
-    "bond_phase_vector",
     "check_adiabaticity",
     "cluster_stabilizers",
     "coulomb_background",
@@ -96,6 +93,5 @@ __all__ = [
     "solve_hold_time",
     "state_fidelity",
     "stabilizer_expectation",
-    "symmetric_pulse",
     "trial_fidelities",
 ]

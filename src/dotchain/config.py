@@ -145,9 +145,7 @@ class ExperimentConfig:
                 eps_low_mev=lo,
                 eps_high_mev=hi,
             )
-        pulse = DetuningPulse(
-            ramp_up_ns=self.tau1_ns, hold_ns=tau2, eps_low_mev=lo, eps_high_mev=hi
-        )
+        pulse = DetuningPulse(ramp_ns=self.tau1_ns, hold_ns=tau2, eps_low_mev=lo, eps_high_mev=hi)
         check_adiabaticity(pulse, self.device, self.coherence_budget_ns)
         return pulse
 

@@ -24,7 +24,7 @@ from .constants import constants_table
 from .measurement import NAMED_AXES, run_schedule, schedule_rounds
 from .noise import PhaseNoiseModel, exact_mean_fidelities, monte_carlo_fidelities
 from .physics import adiabatic_angle, ising_coupling
-from .pulse import accumulated_phase, bond_phase_vector
+from .pulse import accumulated_phase
 from .rng import RNG_ALGORITHM
 from .state import apply_ising_phases, cluster_stabilizers, ideal_cluster_fidelity, init_plus_chain
 
@@ -112,14 +112,10 @@ def run_figure3(cfg: ExperimentConfig, out_dir) -> dict[str, Path]:
     Each row carries both the Monte Carlo estimate and the exact Gaussian
     average so the two estimators can be compared downstream. All rows come
     from one monte_carlo_fidelities call and one exact_mean_fidelities
-    call, which takes one transfer-matrix pass per distinct sigma. Every
-    row reads trials 0 .. trials - 1 of cfg.seed, and rows of one stream width
-    ceil((n - 1) / 4) draw each trial once between them, so rows are
-    correlated, as they always were. Trials are drawn in chunks of
-    noise.CHUNK_ELEMENTS // max(distinct sigmas, bonds), each bond's normals
-    one contiguous row, and contracted one bond at a time with bond factors
-    from cos and sin, so each per-chunk array stays within 128 KiB. The
-    widest width holds n = 18..20 and the whole sigma sweep, so at most
+    call. Every row reads trials 0 .. trials - 1 of cfg.seed, so rows are
+    correlated, as they always were; the noise module docstring gives the
+    stream layout and the chunking that bounds memory. The widest stream
+    width holds n = 18..20 and the whole sigma sweep, so at most
     (3 + len(sigma_over_pi)) x trials x 8 B of per-trial fidelities are held
     at once. Rows follow the config order; a repeated sigma repeats its row.
     """
@@ -158,11 +154,8 @@ class PrepareReport:
 def prepare_chain(cfg: ExperimentConfig):
     """Calibrated end-to-end preparation: plus chain -> entangling pulse."""
     pulse = cfg.build_pulse()
-    state = init_plus_chain(cfg.n_qubits)
-    if cfg.n_qubits >= 2:
-        bonds = bond_phase_vector(pulse, cfg.device, cfg.n_qubits)
-        state = apply_ising_phases(state, bonds)
-    return state, pulse
+    bonds = np.full(cfg.n_qubits - 1, accumulated_phase(pulse, cfg.device))
+    return apply_ising_phases(init_plus_chain(cfg.n_qubits), bonds), pulse
 
 
 def run_prepare(cfg: ExperimentConfig, out_dir) -> PrepareReport:
@@ -182,7 +175,7 @@ def run_prepare(cfg: ExperimentConfig, out_dir) -> PrepareReport:
     out = _ensure_out(out_dir)
     report = PrepareReport(
         n_qubits=n,
-        ramp_ns=pulse.ramp_up_ns,
+        ramp_ns=pulse.ramp_ns,
         hold_ns=pulse.hold_ns,
         bond_phase_rad=phase,
         fidelity_to_ideal=min(ideal_cluster_fidelity(bonds), 1.0),

@@ -1,10 +1,11 @@
 """Detuning pulses and the two-qubit phase they accumulate.
 
 The entangling operation is a trapezoidal detuning sweep applied to every
-molecule at once: ramp from eps_low to eps_high in ramp_up_ns, hold, ramp
-back. The conditional phase picked up by each nearest-neighbor bond is the
-time integral of the Ising coupling along the sweep, divided by hbar. A
-cluster state needs that phase to equal pi, which fixes the hold time.
+molecule at once: ramp from eps_low to eps_high in ramp_ns, hold for
+hold_ns, ramp back in ramp_ns. The conditional phase picked up by each
+nearest-neighbor bond is the time integral of the Ising coupling along the
+sweep, divided by hbar. A cluster state needs that phase to equal pi, which
+fixes the hold time.
 
 The integral is closed form. On the adiabatic branch the singlet admixture
 is sin^2 theta = (eps + d) / (2 d) with d = sqrt(eps^2 + 4 tc^2), which is
@@ -20,8 +21,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constants import HBAR_MEV_NS
 from .physics import HALF_PI, DeviceParams, _eps_plus_d, adiabatic_angle, ising_coupling
 
@@ -36,31 +35,22 @@ class CalibrationError(ValueError):
 
 @dataclass(frozen=True)
 class DetuningPulse:
-    """Piecewise-linear detuning trapezoid eps(t).
+    """Symmetric piecewise-linear detuning trapezoid eps(t).
 
-    eps_low -> eps_high over ramp_up_ns, constant over hold_ns, back over
-    ramp_down_ns (defaults to ramp_up_ns, the symmetric trapezoid).
+    eps_low -> eps_high over ramp_ns, constant over hold_ns, and back over
+    another ramp_ns, the mirror image of the up ramp.
     """
 
-    ramp_up_ns: float
+    ramp_ns: float
     hold_ns: float
-    ramp_down_ns: float | None = None
-    eps_low_mev: float = -2.5
-    eps_high_mev: float = 2.5
+    eps_low_mev: float
+    eps_high_mev: float
 
     def __post_init__(self) -> None:
-        if self.ramp_down_ns is None:
-            object.__setattr__(self, "ramp_down_ns", self.ramp_up_ns)
-        values = (
-            self.ramp_up_ns,
-            self.hold_ns,
-            self.ramp_down_ns,
-            self.eps_low_mev,
-            self.eps_high_mev,
-        )
+        values = (self.ramp_ns, self.hold_ns, self.eps_low_mev, self.eps_high_mev)
         if not all(math.isfinite(v) for v in values):
             raise ValueError(f"pulse parameters must be finite, got {self}")
-        if self.ramp_up_ns < 0 or self.hold_ns < 0 or self.ramp_down_ns < 0:
+        if self.ramp_ns < 0 or self.hold_ns < 0:
             raise ValueError("pulse durations must be >= 0")
         if self.eps_low_mev >= self.eps_high_mev:
             raise ValueError("eps_low_mev must be below eps_high_mev")
@@ -69,30 +59,30 @@ class DetuningPulse:
 
     @property
     def duration_ns(self) -> float:
-        return self.ramp_up_ns + self.hold_ns + self.ramp_down_ns
+        return self.ramp_ns + self.hold_ns + self.ramp_ns
 
     def detuning_at(self, t_ns: float) -> float:
         """Detuning eps(t) in meV for t inside [0, duration].
 
         The down ramp is measured back from the end of the pulse, the mirror
-        of the up ramp, so both ends give eps_low exactly; rounding never
-        takes a value outside [eps_low, eps_high].
+        of the up ramp, so a pulse with ramps starts and ends at eps_low
+        exactly; rounding never takes a value outside [eps_low, eps_high].
+        A rectangular pulse (ramp_ns = 0) gives eps_low at t = 0 and
+        eps_high everywhere after it, t = duration included.
         """
         if not math.isfinite(t_ns) or t_ns < 0.0 or t_ns > self.duration_ns:
             raise ValueError(
                 f"t={t_ns} ns outside pulse duration [0, {self.duration_ns}] ns"
             )
         lo, hi = self.eps_low_mev, self.eps_high_mev
-        if t_ns <= self.ramp_up_ns:
-            if self.ramp_up_ns == 0.0:
+        if t_ns <= self.ramp_ns:
+            if self.ramp_ns == 0.0:
                 return lo
-            fraction = t_ns / self.ramp_up_ns
-        elif t_ns - self.ramp_up_ns <= self.hold_ns:
+            fraction = t_ns / self.ramp_ns
+        elif t_ns - self.ramp_ns <= self.hold_ns:
             return hi
-        elif self.ramp_down_ns == 0.0:
-            return lo
         else:
-            fraction = (self.duration_ns - t_ns) / self.ramp_down_ns
+            fraction = (self.duration_ns - t_ns) / self.ramp_ns
         return min(lo + (hi - lo) * fraction, hi)
 
 
@@ -104,12 +94,6 @@ def detuning_window(
     lo = -half if eps_low_mev is None else eps_low_mev
     hi = half if eps_high_mev is None else eps_high_mev
     return lo, hi
-
-
-def symmetric_pulse(dev: DeviceParams, ramp_ns: float, hold_ns: float) -> DetuningPulse:
-    """Trapezoid between -Ec/2 and +Ec/2 for the given device."""
-    lo, hi = detuning_window(dev)
-    return DetuningPulse(ramp_up_ns=ramp_ns, hold_ns=hold_ns, eps_low_mev=lo, eps_high_mev=hi)
 
 
 def _ramp_coupling_integral_mev2(pulse: DetuningPulse, dev: DeviceParams) -> float:
@@ -135,7 +119,7 @@ def accumulated_phase(pulse: DetuningPulse, dev: DeviceParams) -> float:
     (1/hbar) * integral of ising_coupling(adiabatic_angle(eps(t))) dt, in
     closed form on the hold plateau and on both ramps.
     """
-    ramp_time = pulse.ramp_up_ns + pulse.ramp_down_ns
+    ramp_time = pulse.ramp_ns + pulse.ramp_ns
     total_mev_ns = pulse.hold_ns * plateau_coupling(pulse, dev)
     if ramp_time > 0.0:
         per_mev = _ramp_coupling_integral_mev2(pulse, dev)
@@ -162,7 +146,7 @@ def solve_hold_time(
         raise ValueError("tau1_ns must be >= 0 and finite")
     lo, hi = detuning_window(dev, eps_low_mev, eps_high_mev)
 
-    ramps = DetuningPulse(ramp_up_ns=tau1_ns, hold_ns=0.0, eps_low_mev=lo, eps_high_mev=hi)
+    ramps = DetuningPulse(ramp_ns=tau1_ns, hold_ns=0.0, eps_low_mev=lo, eps_high_mev=hi)
     ramp_phase = accumulated_phase(ramps, dev)
     rate = plateau_coupling(ramps, dev) / HBAR_MEV_NS  # rad/ns
     missing = target_phase_rad - ramp_phase
@@ -178,17 +162,6 @@ def solve_hold_time(
     return missing / rate
 
 
-def bond_phase_vector(pulse: DetuningPulse, dev: DeviceParams, n_qubits: int) -> np.ndarray:
-    """Per-bond accumulated phase for an n-qubit chain.
-
-    The sweep is collective, so all n_qubits - 1 bonds receive the same
-    phase.
-    """
-    if n_qubits < 2:
-        raise ValueError(f"need at least 2 qubits for a bond, got {n_qubits}")
-    return np.full(n_qubits - 1, accumulated_phase(pulse, dev))
-
-
 def check_adiabaticity(
     pulse: DetuningPulse, dev: DeviceParams, coherence_budget_ns: float | None = None
 ) -> list[str]:
@@ -201,12 +174,11 @@ def check_adiabaticity(
     """
     messages = []
     tc_time = HBAR_MEV_NS / dev.tunnel_coupling_mev
-    for name, ramp in (("ramp_up_ns", pulse.ramp_up_ns), ("ramp_down_ns", pulse.ramp_down_ns)):
-        if ramp < 10.0 * tc_time:
-            messages.append(
-                f"{name}={ramp:.4g} ns is below 10*hbar/tc = {10 * tc_time:.4g} ns; "
-                "the sweep may not be adiabatic"
-            )
+    if pulse.ramp_ns < 10.0 * tc_time:
+        messages.append(
+            f"ramp_ns={pulse.ramp_ns:.4g} ns is below 10*hbar/tc = {10 * tc_time:.4g} ns; "
+            "the sweep may not be adiabatic"
+        )
     if coherence_budget_ns is not None and pulse.duration_ns > coherence_budget_ns:
         messages.append(
             f"pulse duration {pulse.duration_ns:.4g} ns exceeds the coherence "

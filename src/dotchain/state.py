@@ -50,9 +50,6 @@ class ChainState:
     def norm(self) -> float:
         return math.sqrt(np.vdot(self.amplitudes, self.amplitudes).real)
 
-    def copy(self) -> "ChainState":
-        return ChainState(self.n_qubits, self.amplitudes.copy())
-
 
 def init_plus_chain(n: int) -> ChainState:
     """Product state with every qubit in (|0> + |1>)/sqrt(2)."""

@@ -12,10 +12,8 @@ from dotchain import (
     PhaseNoiseModel,
     adiabatic_angle,
     apply_ising_phases,
-    bond_phase_vector,
     exact_mean_fidelity,
     ideal_cluster,
-    init_plus_chain,
     ising_coupling,
     measure,
     monte_carlo_fidelity,
@@ -26,10 +24,15 @@ from dotchain import (
     solve_hold_time,
     state_fidelity,
     stabilizer_expectation,
-    symmetric_pulse,
 )
 from dotchain.config import config_from_strings, load_config_file
-from dotchain.harness import run_figure2, run_figure3, run_measure_demo, run_prepare
+from dotchain.harness import (
+    prepare_chain,
+    run_figure2,
+    run_figure3,
+    run_measure_demo,
+    run_prepare,
+)
 from dotchain.measurement import MeasurementSpec, Z_AXIS
 
 from conftest import random_state
@@ -74,13 +77,10 @@ def test_criterion_4_crosstalk(dev):
     print(f"ACCEPTANCE 4 PASS: next-nearest crosstalk ratio {ratio:.4f} in [0.08, 0.15]")
 
 
-def test_criterion_5_cluster_correctness(dev):
-    tau2 = solve_hold_time(1.0, dev)
-    pulse = symmetric_pulse(dev, ramp_ns=1.0, hold_ns=tau2)
+def test_criterion_5_cluster_correctness():
     worst_fidelity, worst_stab = 1.0, 1.0
     for n in range(2, 13):
-        bonds = bond_phase_vector(pulse, dev, n)
-        prepared = apply_ising_phases(init_plus_chain(n), bonds)
+        prepared, _ = prepare_chain(config_from_strings({"n_qubits": str(n)}))
         fidelity = state_fidelity(ideal_cluster(n), prepared)
         stabs = [stabilizer_expectation(prepared, site) for site in range(n)]
         assert fidelity >= 1 - 1e-8

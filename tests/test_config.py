@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 from dataclasses import fields
@@ -232,10 +233,22 @@ def test_package_version_matches_pyproject():
         assert tomllib.load(fh)["project"]["version"] == __version__
 
 
+def test_all_lists_every_public_name_once():
+    import dotchain
+
+    public = {
+        name
+        for name, value in vars(dotchain).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert set(dotchain.__all__) == public
+    assert len(dotchain.__all__) == len(set(dotchain.__all__))
+
+
 def test_build_pulse_calibrates():
     cfg = config_from_strings({})
     pulse = cfg.build_pulse()
-    assert pulse.ramp_up_ns == 1.0
+    assert pulse.ramp_ns == 1.0
     assert 1.5 <= pulse.hold_ns <= 3.5
     explicit = config_from_strings({"tau2_ns": "0.75"})
     assert explicit.build_pulse().hold_ns == 0.75

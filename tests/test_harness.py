@@ -11,10 +11,23 @@ import pytest
 from click.testing import CliRunner
 
 import dotchain
-from dotchain import plateau_coupling, solve_hold_time
+from dotchain import (
+    accumulated_phase,
+    apply_ising_phases,
+    cluster_stabilizers,
+    init_plus_chain,
+    plateau_coupling,
+    solve_hold_time,
+)
 from dotchain.cli import main
 from dotchain.config import ConfigError, config_from_strings, load_config_file
-from dotchain.harness import run_figure2, run_figure3, run_measure_demo, run_prepare
+from dotchain.harness import (
+    prepare_chain,
+    run_figure2,
+    run_figure3,
+    run_measure_demo,
+    run_prepare,
+)
 from dotchain.noise import CHUNK_ELEMENTS
 from dotchain.rng import normal_width
 
@@ -158,6 +171,33 @@ def test_prepare_single_qubit(tmp_path):
     assert report.passed
 
 
+def test_every_bond_carries_the_accumulated_phase(tmp_path):
+    # prepare_chain and run_prepare give each of the n - 1 bonds the phase
+    # of the one collective pulse
+    cfg = cfg_with(n_qubits=5)
+    phi = accumulated_phase(cfg.build_pulse(), cfg.device)
+    bonds = np.full(4, phi)
+    state, _ = prepare_chain(cfg)
+    expected = apply_ising_phases(init_plus_chain(5), bonds)
+    assert np.array_equal(state.amplitudes, expected.amplitudes)
+    report = run_prepare(cfg, tmp_path)
+    assert report.bond_phase_rad == phi
+    assert report.stabilizers == tuple(cluster_stabilizers(bonds).tolist())
+
+
+def test_single_qubit_chain_and_measurement(tmp_path):
+    # one qubit has no bond: the chain is |+> and a z measurement is a coin
+    cfg = cfg_with(n_qubits=1)
+    state, _ = prepare_chain(cfg)
+    assert state.n_qubits == 1
+    assert np.array_equal(state.amplitudes, init_plus_chain(1).amplitudes)
+    paths = run_measure_demo(cfg, tmp_path)
+    _, record_rows = read_csv(paths["records"])
+    assert len(record_rows) == 1
+    assert [float(v) for v in record_rows[0][2:5]] == [0.0, 0.0, 1.0]
+    assert abs(float(record_rows[0][6]) - 0.5) <= 1e-15
+
+
 def test_prepare_builds_no_dense_state(tmp_path, monkeypatch):
     # verification works from the bond phases alone: no 2^n vector at any n
     from dotchain.state import ChainState
@@ -208,7 +248,6 @@ def test_measure_demo_empty_pattern(tmp_path):
 def test_measure_demo_statistics(tmp_path, dev):
     # all-z joint outcome frequencies on the 3-qubit cluster against the
     # Born weights from direct enumeration
-    from dotchain.harness import prepare_chain
     from dotchain.measurement import Z_AXIS, run_schedule, schedule_rounds
 
     cfg = cfg_with(n_qubits=3)

@@ -12,19 +12,18 @@ from dotchain import (
     DeviceParams,
     accumulated_phase,
     adiabatic_angle,
-    bond_phase_vector,
     check_adiabaticity,
     ising_coupling,
     plateau_coupling,
     solve_hold_time,
-    symmetric_pulse,
 )
+from dotchain.pulse import detuning_window
 
 from oracles import trapezoid_phase
 
 
 def default_pulse(dev, hold=2.0):
-    return symmetric_pulse(dev, ramp_ns=1.0, hold_ns=hold)
+    return DetuningPulse(1.0, hold, *detuning_window(dev))
 
 
 def test_detuning_endpoints(dev):
@@ -35,6 +34,16 @@ def test_detuning_endpoints(dev):
     assert pulse.detuning_at(1.0) == 2.5
     assert pulse.detuning_at(1.0 + pulse.hold_ns / 2) == 2.5
     assert pulse.detuning_at(1.0 + pulse.hold_ns) == 2.5
+    assert DetuningPulse(0.7, 1.0, -2.5, 2.5).duration_ns == pytest.approx(2.4)
+
+
+def test_rectangular_pulse_endpoints():
+    # With no ramp the pulse jumps to eps_high right after t = 0 and is
+    # still there at t = duration: only the start reads eps_low.
+    pulse = DetuningPulse(0.0, 2.0, -2.5, 2.5)
+    assert pulse.detuning_at(0.0) == -2.5
+    assert pulse.detuning_at(1.0) == 2.5
+    assert pulse.detuning_at(pulse.duration_ns) == 2.5
 
 
 def test_detuning_out_of_range(dev):
@@ -50,9 +59,8 @@ def test_detuning_stays_inside_window():
     for _ in range(100):
         lo, hi = np.sort(rng.uniform(-3.0, 3.0, 2))
         pulse = DetuningPulse(
-            ramp_up_ns=float(rng.uniform(0.01, 3.0)),
+            ramp_ns=float(rng.uniform(0.01, 3.0)),
             hold_ns=float(rng.uniform(0.0, 5.0)),
-            ramp_down_ns=float(rng.uniform(0.01, 3.0)),
             eps_low_mev=float(lo),
             eps_high_mev=float(hi),
         )
@@ -63,35 +71,33 @@ def test_detuning_stays_inside_window():
 
 def test_pulse_validation():
     with pytest.raises(ValueError):
-        DetuningPulse(ramp_up_ns=-1.0, hold_ns=0.0)
+        DetuningPulse(ramp_ns=-1.0, hold_ns=0.0, eps_low_mev=-2.5, eps_high_mev=2.5)
     with pytest.raises(ValueError):
-        DetuningPulse(ramp_up_ns=1.0, hold_ns=-0.5)
+        DetuningPulse(ramp_ns=1.0, hold_ns=-0.5, eps_low_mev=-2.5, eps_high_mev=2.5)
     with pytest.raises(ValueError):
-        DetuningPulse(ramp_up_ns=1.0, hold_ns=1.0, eps_low_mev=1.0, eps_high_mev=-1.0)
+        DetuningPulse(ramp_ns=1.0, hold_ns=1.0, eps_low_mev=1.0, eps_high_mev=-1.0)
     with pytest.raises(ValueError):
-        DetuningPulse(ramp_up_ns=float("nan"), hold_ns=1.0)
-
-
-def test_ramp_down_defaults_to_ramp_up():
-    pulse = DetuningPulse(ramp_up_ns=0.7, hold_ns=1.0)
-    assert pulse.ramp_down_ns == 0.7
-    assert pulse.duration_ns == pytest.approx(2.4)
+        DetuningPulse(ramp_ns=float("nan"), hold_ns=1.0, eps_low_mev=-2.5, eps_high_mev=2.5)
+    with pytest.raises(TypeError):  # the detuning window has no default
+        DetuningPulse(ramp_ns=1.0, hold_ns=1.0)
 
 
 def test_rectangular_pulse_gives_pi(dev):
     # hold chosen so the constant plateau integrand accumulates exactly pi
     rate = plateau_coupling(default_pulse(dev), dev) / HBAR_MEV_NS
-    pulse = symmetric_pulse(dev, ramp_ns=0.0, hold_ns=math.pi / rate)
+    pulse = DetuningPulse(0.0, math.pi / rate, *detuning_window(dev))
     assert accumulated_phase(pulse, dev) == pytest.approx(math.pi, rel=1e-9)
     # the plateau sits within 2e-5 of the full-admixture coupling, so the same
     # hold computed from the theta = pi/2 coupling is pi at coarser tolerance
     ideal_rate = ising_coupling(dev, math.pi / 2) / HBAR_MEV_NS
-    pulse2 = symmetric_pulse(dev, ramp_ns=0.0, hold_ns=math.pi / ideal_rate)
+    pulse2 = DetuningPulse(0.0, math.pi / ideal_rate, *detuning_window(dev))
     assert accumulated_phase(pulse2, dev) == pytest.approx(math.pi, rel=1e-4)
+    # no ramp and no hold: no phase at all
+    assert accumulated_phase(DetuningPulse(0.0, 0.0, *detuning_window(dev)), dev) == 0.0
 
 
 def test_ramp_only_phase(dev):
-    pulse = symmetric_pulse(dev, ramp_ns=1.0, hold_ns=0.0)
+    pulse = DetuningPulse(1.0, 0.0, *detuning_window(dev))
     phase = accumulated_phase(pulse, dev)
     # brute-force fixed-step oracle
     oracle = trapezoid_phase(1.0, 0.0, 1.0, -2.5, 2.5, dev, steps=1_000_000)
@@ -116,25 +122,13 @@ def test_phase_strictly_increasing_in_hold(dev):
     assert all(b > a for a, b in zip(phases, phases[1:]))
 
 
-def test_time_reversal_symmetry(dev):
-    pulse = DetuningPulse(
-        ramp_up_ns=0.3, hold_ns=1.1, ramp_down_ns=1.7, eps_low_mev=-2.5, eps_high_mev=2.5
-    )
-    reversed_pulse = DetuningPulse(
-        ramp_up_ns=1.7, hold_ns=1.1, ramp_down_ns=0.3, eps_low_mev=-2.5, eps_high_mev=2.5
-    )
-    assert accumulated_phase(pulse, dev) == pytest.approx(
-        accumulated_phase(reversed_pulse, dev), rel=1e-12
-    )
-
-
 def test_sharp_passage_window(dev):
     # The integrand switches on within a few tunnel couplings of eps = 0:
     # from 0.15 to 0.85 of the maximum inside a window of 1e-2 * tau1. The
     # full 1e-4 -> 0.999 transition is wider (the admixture tails fall off
     # only as (tc/eps)^2) but completes within the ramp.
     tau1 = 1.0
-    pulse = symmetric_pulse(dev, ramp_ns=tau1, hold_ns=0.0)
+    pulse = DetuningPulse(tau1, 0.0, *detuning_window(dev))
     peak = ising_coupling(dev, math.pi / 2)
     times = np.linspace(0.0, tau1, 200_001)
     values = np.array(
@@ -154,20 +148,13 @@ def test_sharp_passage_window(dev):
 def test_quadrature_matches_trapezoid_oracle(dev):
     rng = np.random.default_rng(20240917)
     for _ in range(5):
-        tau_up = float(rng.uniform(0.05, 2.0))
+        ramp = float(rng.uniform(0.05, 2.0))
         hold = float(rng.uniform(0.0, 3.0))
-        tau_down = float(rng.uniform(0.05, 2.0))
         lo = float(rng.uniform(-3.0, -0.5))
         hi = float(rng.uniform(0.5, 3.0))
-        pulse = DetuningPulse(
-            ramp_up_ns=tau_up,
-            hold_ns=hold,
-            ramp_down_ns=tau_down,
-            eps_low_mev=lo,
-            eps_high_mev=hi,
-        )
+        pulse = DetuningPulse(ramp_ns=ramp, hold_ns=hold, eps_low_mev=lo, eps_high_mev=hi)
         adaptive = accumulated_phase(pulse, dev)
-        oracle = trapezoid_phase(tau_up, hold, tau_down, lo, hi, dev, steps=10_000_000)
+        oracle = trapezoid_phase(ramp, hold, ramp, lo, hi, dev, steps=10_000_000)
         assert adaptive == pytest.approx(oracle, rel=1e-6)
 
 
@@ -175,29 +162,22 @@ def test_quadrature_matches_trapezoid_oracle(dev):
 @given(
     tc=st.floats(min_value=0.01, max_value=2.0),
     charging=st.floats(min_value=0.5, max_value=10.0),
-    ramp_up=st.floats(min_value=0.05, max_value=2.0),
+    ramp=st.floats(min_value=0.05, max_value=2.0),
     hold=st.floats(min_value=0.0, max_value=3.0),
-    ramp_down=st.floats(min_value=0.05, max_value=2.0),
     edges=st.tuples(
         st.floats(min_value=0.05, max_value=1.0), st.floats(min_value=0.05, max_value=1.0)
     ).filter(lambda e: abs(e[0] - e[1]) >= 0.05),
     side=st.sampled_from(["below", "straddle", "above"]),
 )
 def test_closed_form_matches_trapezoid_oracle_across_devices(
-    tc, charging, ramp_up, hold, ramp_down, edges, side
+    tc, charging, ramp, hold, edges, side
 ):
     # One-sided windows test each branch of F(eps) = (eps + d) / 2 alone.
     dev = DeviceParams(tunnel_coupling_mev=tc, charging_energy_mev=charging)
     a, b = (charging / 2.0 * e for e in sorted(edges))
     lo, hi = {"below": (-b, -a), "straddle": (-a, b), "above": (a, b)}[side]
-    pulse = DetuningPulse(
-        ramp_up_ns=ramp_up,
-        hold_ns=hold,
-        ramp_down_ns=ramp_down,
-        eps_low_mev=lo,
-        eps_high_mev=hi,
-    )
-    oracle = trapezoid_phase(ramp_up, hold, ramp_down, lo, hi, dev, steps=100_000)
+    pulse = DetuningPulse(ramp_ns=ramp, hold_ns=hold, eps_low_mev=lo, eps_high_mev=hi)
+    oracle = trapezoid_phase(ramp, hold, ramp, lo, hi, dev, steps=100_000)
     assert accumulated_phase(pulse, dev) == pytest.approx(oracle, rel=1e-6)
 
 
@@ -211,7 +191,7 @@ def test_solve_default_ramps(dev, golden):
     tau2 = solve_hold_time(1.0, dev)
     assert 1.5 <= tau2 <= 3.5
     assert tau2 == pytest.approx(golden["hold_time_tau1_1ns_default_ns"], rel=1e-7)
-    pulse = symmetric_pulse(dev, ramp_ns=1.0, hold_ns=tau2)
+    pulse = DetuningPulse(1.0, tau2, *detuning_window(dev))
     assert accumulated_phase(pulse, dev) == pytest.approx(math.pi, rel=1e-9)
 
 
@@ -237,30 +217,12 @@ def test_solve_input_validation(dev):
         solve_hold_time(1.0, dev, target_phase_rad=float("inf"))
 
 
-def test_bond_phase_vector(dev):
-    pulse = default_pulse(dev)
-    phi = accumulated_phase(pulse, dev)
-    two = bond_phase_vector(pulse, dev, 2)
-    assert two.shape == (1,) and two[0] == phi
-
-    tau2 = solve_hold_time(1.0, dev)
-    calibrated = symmetric_pulse(dev, ramp_ns=1.0, hold_ns=tau2)
-    five = bond_phase_vector(calibrated, dev, 5)
-    assert five.shape == (4,)
-    assert np.allclose(five, math.pi, rtol=1e-6)
-
-    empty = DetuningPulse(ramp_up_ns=0.0, hold_ns=0.0)
-    assert bond_phase_vector(empty, dev, 2)[0] == 0.0
-
-    with pytest.raises(ValueError):
-        bond_phase_vector(pulse, dev, 1)
-
-
 def test_adiabaticity_warnings(dev):
-    quiet = symmetric_pulse(dev, ramp_ns=1.0, hold_ns=2.7)
+    quiet = DetuningPulse(1.0, 2.7, *detuning_window(dev))
     with pytest.warns(UserWarning):
-        fast = symmetric_pulse(dev, ramp_ns=0.01, hold_ns=1.0)
-        assert check_adiabaticity(fast, dev)
+        fast = DetuningPulse(0.01, 1.0, *detuning_window(dev))
+        messages = check_adiabaticity(fast, dev)
+    assert len(messages) == 1 and messages[0].startswith("ramp_ns=0.01 ns is below")
     with pytest.warns(UserWarning):
         assert check_adiabaticity(quiet, dev, coherence_budget_ns=2.0)
     assert check_adiabaticity(quiet, dev, coherence_budget_ns=10.0) == []
