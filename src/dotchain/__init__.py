@@ -45,11 +45,8 @@ from .state import (
     ChainState,
     apply_ising_phases,
     cluster_stabilizers,
-    ideal_cluster,
     ideal_cluster_fidelity,
     init_plus_chain,
-    stabilizer_expectation,
-    state_fidelity,
 )
 
 __all__ = [
@@ -77,7 +74,6 @@ __all__ = [
     "coulomb_double_occupancy",
     "exact_mean_fidelities",
     "exact_mean_fidelity",
-    "ideal_cluster",
     "ideal_cluster_fidelity",
     "init_plus_chain",
     "ising_coupling",
@@ -91,7 +87,5 @@ __all__ = [
     "schedule_rounds",
     "singlet_admixture",
     "solve_hold_time",
-    "state_fidelity",
-    "stabilizer_expectation",
     "trial_fidelities",
 ]

@@ -17,10 +17,13 @@ One kernel applies every projector P to qubit q: with the amplitudes viewed
 as (2**q, 2, 2**(n-q-1)), output half j is psi[:, 0]*P[j, 0] + psi[:, 1]*P[j, 1].
 One helper builds P = (I + o*M(axis))/2 as that column pair; the pairs of
 the three named axes and both outcomes are built once, at import, and any
-other axis is built per use by the same helper. run_schedule resolves every
-scheduled qubit's axis before it draws: an axis equal to a named one needs
-no further check, any other is validated by MeasurementSpec, and a missing
-axis is refused. It then draws all its uniforms in one call and carries one
+other axis is built per use by the same helper. One check, _unit_axis,
+validates every axis, for MeasurementSpec and run_schedule alike: text is
+refused, the components become floats, an axis equal to a named one needs
+no further check, and any other must be a finite unit 3-vector. It reads
+the axis once, so an iterator is accepted by both. run_schedule resolves
+every scheduled qubit's axis before it draws, and a missing axis is
+refused. It then draws all its uniforms in one call and carries one
 post-state from measurement to measurement. measure, project and
 run_schedule share the kernel and the projector lookup, and measure and
 run_schedule share one sampler. Each public call checks its input state
@@ -54,19 +57,24 @@ NAMED_AXES = {"x": X_AXIS, "y": Y_AXIS, "z": Z_AXIS}
 _TEXT = (str, bytes, bytearray)
 
 
-def _axis_components(basis) -> tuple[float, ...]:
-    """The axis as floats; text is refused, since float() would parse it."""
-    components = tuple(basis)
-    if not isinstance(basis, _TEXT):
-        try:
-            axis = tuple(map(float, components))
-        except ValueError:
-            axis = None
-        if axis == components:  # a number equals its float; text never does
-            return axis
+def _unit_axis(basis) -> tuple[float, ...]:
+    """The axis as floats, refused unless it is a finite unit 3-vector.
+
+    An axis equal to a named one is converted with no further check: text
+    never equals a number. Otherwise text is refused with TypeError, since
+    float() would parse it.
+    """
+    components = () if isinstance(basis, _TEXT) else tuple(basis)
+    if components in NAMED_AXES.values():
+        return tuple(map(float, components))
     if isinstance(basis, _TEXT) or any(isinstance(c, _TEXT) for c in components):
         raise TypeError(f"basis components must be numbers, got {basis!r}")
-    return tuple(map(float, components))
+    axis = tuple(map(float, components))
+    if len(axis) != 3 or not all(math.isfinite(c) for c in axis):
+        raise ValueError(f"basis must be a finite 3-vector, got {axis}")
+    if abs(math.sqrt(sum(c * c for c in axis)) - 1.0) > 1e-10:
+        raise ValueError(f"basis axis must be normalized to 1e-10, got {axis}")
+    return axis
 
 
 @dataclass(frozen=True)
@@ -77,12 +85,7 @@ class MeasurementSpec:
     basis: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        axis = _axis_components(self.basis)
-        if len(axis) != 3 or not all(math.isfinite(c) for c in axis):
-            raise ValueError(f"basis must be a finite 3-vector, got {self.basis}")
-        if abs(math.sqrt(sum(c * c for c in axis)) - 1.0) > 1e-10:
-            raise ValueError(f"basis axis must be normalized to 1e-10, got {self.basis}")
-        object.__setattr__(self, "basis", axis)
+        object.__setattr__(self, "basis", _unit_axis(self.basis))
         if self.qubit < 0:
             raise ValueError(f"qubit index must be >= 0, got {self.qubit}")
 
@@ -154,10 +157,7 @@ def _scheduled_projector(bases, qubit: int) -> tuple[np.ndarray, np.ndarray]:
         given = bases[qubit]
     except LookupError:
         raise ValueError(f"bases has no axis for scheduled qubit {qubit}") from None
-    axis = _axis_components(given)  # the conversion MeasurementSpec applies
-    if (axis, +1) not in _NAMED_PROJECTORS:
-        MeasurementSpec(qubit, tuple(given))  # refuses a non-unit or non-finite axis
-    return _projector(axis, +1)
+    return _projector(_unit_axis(given), +1)
 
 
 def _apply_on_qubit(amps: np.ndarray, columns, qubit: int, n: int) -> np.ndarray:

@@ -6,15 +6,15 @@ evolution is diagonal: basis state z picks up
 exp(i * sum_b phi_b * z_b * z_{b+1}) for bond phases phi. All operations
 return new states and preserve the norm.
 
-Capped at 24 qubits. The dense engine serves measurement and the oracle
-tests. A chain prepared by Ising phases alone needs none of it:
-ideal_cluster_fidelity and cluster_stabilizers verify it in O(n) from its
-bond phases, which is how the prepare command checks its chain and figure3
-scores its noisy trials. The O(n) contraction rescales every step, so it
-has no qubit cap of its own. Its bond factors exp(i * (phi - pi)) come
-from np.cos and np.sin, which give np.exp's bits at lower cost, and its
-complex product is written so that a chain's value does not depend on the
-size of the batch it is contracted in.
+Capped at 24 qubits. The dense engine serves measurement only. A chain
+prepared by Ising phases needs none of it: ideal_cluster_fidelity and
+cluster_stabilizers verify it in O(n) from its bond phases, which is how
+the prepare command checks its chain and figure3 scores its noisy trials;
+the dense verifiers are test oracles in tests/oracles.py. The O(n)
+contraction rescales every step, so it has no qubit cap of its own. Every
+bond factor exp(i * phi), dense or O(n), comes from _bond_factor. The
+contraction's complex product is written so that a chain's value does not
+depend on the size of the batch it is contracted in.
 """
 
 from __future__ import annotations
@@ -59,15 +59,6 @@ def init_plus_chain(n: int) -> ChainState:
     return ChainState(n, amps)
 
 
-def _scale_bonds(psi: np.ndarray, factors) -> None:
-    """Multiply the z_b = z_{b+1} = 1 slice of psi (shape [2]*n) by factors[b], in place."""
-    for b, factor in enumerate(factors):
-        sel = [slice(None)] * psi.ndim
-        sel[b] = 1
-        sel[b + 1] = 1
-        psi[tuple(sel)] *= factor
-
-
 def apply_ising_phases(state: ChainState, bond_phases) -> ChainState:
     """Diagonal evolution: basis state z gains exp(i * sum_b phi_b z_b z_{b+1})."""
     phases = np.asarray(bond_phases, dtype=float)
@@ -79,56 +70,13 @@ def apply_ising_phases(state: ChainState, bond_phases) -> ChainState:
     if phases.size and not np.all(np.isfinite(phases)):
         raise ValueError("bond phases must be finite")
     amps = state.amplitudes.copy()
-    _scale_bonds(amps.reshape([2] * n), (np.exp(1j * phi) for phi in phases))
+    psi = amps.reshape([2] * n)
+    for b, factor in enumerate(_bond_factor(phases)):
+        sel = [slice(None)] * n
+        sel[b] = 1
+        sel[b + 1] = 1
+        psi[tuple(sel)] *= factor  # the z_b = z_{b+1} = 1 slice
     return ChainState(n, amps)
-
-
-def ideal_cluster(n: int) -> ChainState:
-    """Linear cluster state: the plus chain with an exact pi phase per bond.
-
-    Built with exact sign flips, so amplitudes are exactly +-2^(-n/2); equal
-    (up to global phase) to init_plus_chain followed by apply_ising_phases
-    with every bond at pi.
-    """
-    state = init_plus_chain(n)
-    _scale_bonds(state.amplitudes.reshape([2] * n), [-1.0] * (n - 1))
-    return state
-
-
-def stabilizer_expectation(state: ChainState, site: int) -> float:
-    """Expectation of X_site * Z_{site-1} * Z_{site+1} (ends drop the missing Z).
-
-    +1 on the ideal cluster at every site; a phase error on a bond pulls
-    down exactly the two sites touching that bond.
-    """
-    n = state.n_qubits
-    if not 0 <= site < n:
-        raise ValueError(f"site {site} out of range for {n} qubits")
-    phi = state.amplitudes.copy().reshape([2] * n)
-    for neighbor in (site - 1, site + 1):
-        if 0 <= neighbor < n:
-            sel = [slice(None)] * n
-            sel[neighbor] = 1
-            phi[tuple(sel)] *= -1.0
-    phi = np.flip(phi, axis=site)  # X on the site
-    value = _finite(np.vdot(state.amplitudes, phi.reshape(-1)).real)
-    # Rounding in the 2^(-n/2) amplitudes can overshoot a Pauli expectation.
-    return min(max(value, -1.0), 1.0)
-
-
-def state_fidelity(a: ChainState, b: ChainState) -> float:
-    """|<a|b>|^2 clipped to [0, 1]; 1 iff the states agree up to global phase."""
-    if a.n_qubits != b.n_qubits:
-        raise ValueError(f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}")
-    return min(_finite(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2), 1.0)
-
-
-def _finite(value) -> float:
-    """value as a float, refused if it is not finite, so no clamp hides a NaN."""
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"the amplitudes give the non-finite value {value}")
-    return value
 
 
 def ideal_cluster_fidelity(bond_phases) -> np.ndarray | float:
@@ -141,8 +89,9 @@ def ideal_cluster_fidelity(bond_phases) -> np.ndarray | float:
     dimensions: shape (..., n_bonds) returns shape (...,). With no bonds the
     chain is one qubit, already the ideal cluster: fidelity 1.
 
-    Matches state_fidelity(ideal_cluster(n), apply_ising_phases(plus, phases))
-    to machine precision; the dense route is the test oracle for this one.
+    Matches the dense overlap of the ideal cluster with
+    apply_ising_phases(plus, phases) to machine precision; that dense route,
+    in tests/oracles.py, is the test oracle for this one.
     """
     phases = np.asarray(bond_phases, dtype=float)
     (fidelity,) = prefix_cluster_fidelities(phases, phases.shape[-1:])
@@ -178,10 +127,11 @@ def prefix_cluster_fidelities(bond_phases, prefixes) -> list:
 
 
 def _bond_factor(delta: np.ndarray) -> np.ndarray:
-    """exp(i * delta) of an array of bond phase errors, as cos + i sin.
+    """exp(i * delta) of an array of real phases, as cos + i sin.
 
     np.cos and np.sin give the bits of np.exp of the purely imaginary
-    argument at about two thirds of its cost.
+    argument at about two thirds of its cost; only at delta = -0.0 do they
+    differ, in the sign of the zero imaginary part.
     """
     rot = np.empty(delta.shape, dtype=np.complex128)
     np.cos(delta, out=rot.real)
@@ -228,8 +178,9 @@ def cluster_stabilizers(bond_phases) -> np.ndarray:
     (2001)). O(n) for all n sites at once; an empty bond vector is the
     one-qubit chain, with K_0 = <+|X|+> = 1.
 
-    Matches stabilizer_expectation on apply_ising_phases(plus, phases) to
-    machine precision; the dense route is the test oracle for this one.
+    Matches the dense stabilizer expectation on apply_ising_phases(plus,
+    phases) to machine precision; that dense route, in tests/oracles.py, is
+    the test oracle for this one.
     Non-finite phases are refused, as apply_ising_phases refuses them.
     """
     phases = np.asarray(bond_phases, dtype=float)
@@ -238,5 +189,5 @@ def cluster_stabilizers(bond_phases) -> np.ndarray:
     if not np.all(np.isfinite(phases)):
         raise ValueError("bond phases must be finite")
     h = np.ones(phases.size + 2, dtype=np.complex128)
-    h[1:-1] = (1.0 - np.exp(1j * phases)) / 2.0
+    h[1:-1] = (1.0 - _bond_factor(phases)) / 2.0
     return (h[:-1] * h[1:]).real

@@ -4,11 +4,20 @@ Everything here deliberately avoids the code paths under test: the phase
 integral is a fixed-step trapezoid over inlined formulas, operators are
 kron-built dense matrices, the mean fidelity is a 4^n enumeration, and a
 Monte Carlo grid point is estimated alone, by drawing and contracting its
-own trials. Three loops are kept in the form they had before they were
-optimised, as byte-identity references: the measurement loop that builds a
+own trials.
+
+The dense verifiers of a chain live here, not in the package, which
+verifies a chain in O(n) from its bond phases: ideal_cluster builds the
+linear cluster from bit parity, stabilizer_expectation takes
+<psi|X_s Z_{s-1} Z_{s+1}|psi> of a dense state, and state_fidelity the
+overlap |<a|b>|^2 of two.
+
+Five routines are kept in the form they had before they were optimised or
+folded, as byte-identity references: the measurement loop that builds a
 MeasurementSpec and the projector for every measurement, the mean fidelity
-contraction that divides by 4^n at the end, and the bond contraction that
-takes every bond factor from np.exp.
+contraction that divides by 4^n at the end, and the bond contraction, the
+dense Ising evolution and the closed-form stabilizers that take every bond
+factor from np.exp.
 """
 
 from __future__ import annotations
@@ -85,6 +94,52 @@ def stabilizer_operator(n: int, site: int) -> np.ndarray:
         if 0 <= neighbor < n:
             ops[neighbor] = PAULI_Z.astype(complex)
     return kron_chain(n, ops)
+
+
+def ideal_cluster(n: int) -> ChainState:
+    """Linear cluster state from bit parity: (-1)^popcount(z & z >> 1) * 2^(-n/2).
+
+    z & z >> 1 has a one for each adjacent pair of ones in z, so its
+    popcount is the number of bonds whose two qubits are both |1>.
+    """
+    signs = [(-1.0) ** bin(z & z >> 1).count("1") for z in range(2**n)]
+    return ChainState(n, np.array(signs) * 2.0 ** (-n / 2.0))
+
+
+def stabilizer_expectation(state: ChainState, site: int) -> float:
+    """Expectation of X_site * Z_{site-1} * Z_{site+1} (ends drop the missing Z).
+
+    +1 on the ideal cluster at every site; a phase error on a bond pulls
+    down exactly the two sites touching that bond.
+    """
+    n = state.n_qubits
+    if not 0 <= site < n:
+        raise ValueError(f"site {site} out of range for {n} qubits")
+    phi = state.amplitudes.copy().reshape([2] * n)
+    for neighbor in (site - 1, site + 1):
+        if 0 <= neighbor < n:
+            sel = [slice(None)] * n
+            sel[neighbor] = 1
+            phi[tuple(sel)] *= -1.0
+    phi = np.flip(phi, axis=site)  # X on the site
+    value = _finite(np.vdot(state.amplitudes, phi.reshape(-1)).real)
+    # Rounding in the 2^(-n/2) amplitudes can overshoot a Pauli expectation.
+    return min(max(value, -1.0), 1.0)
+
+
+def state_fidelity(a: ChainState, b: ChainState) -> float:
+    """|<a|b>|^2 clipped to [0, 1]; 1 iff the states agree up to global phase."""
+    if a.n_qubits != b.n_qubits:
+        raise ValueError(f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}")
+    return min(_finite(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2), 1.0)
+
+
+def _finite(value) -> float:
+    """value as a float, refused if it is not finite, so no clamp hides a NaN."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"the amplitudes give the non-finite value {value}")
+    return value
 
 
 def brute_mean_fidelity(n: int, sigma_rad: float) -> float:
@@ -171,6 +226,27 @@ def exp_contract_bonds(bond_columns, batch_shape, prefixes) -> list:
             rot = 1j * (next(bonds) - math.pi)  # exact: real part 0, imaginary part the delta
             w0, w1 = half, (w0 + w1 * np.exp(rot)) * 0.5
     return [fidelities[k] for k in prefixes]
+
+
+def exp_ising_amplitudes(state: ChainState, bond_phases) -> np.ndarray:
+    """apply_ising_phases' amplitudes, scaling each bond's 11 slice by np.exp(1j * phi)."""
+    n = state.n_qubits
+    amps = state.amplitudes.copy()
+    psi = amps.reshape([2] * n)
+    for b, phi in enumerate(np.asarray(bond_phases, dtype=float)):
+        sel = [slice(None)] * n
+        sel[b] = 1
+        sel[b + 1] = 1
+        psi[tuple(sel)] *= np.exp(1j * phi)
+    return amps
+
+
+def exp_cluster_stabilizers(bond_phases) -> np.ndarray:
+    """cluster_stabilizers with h_b = (1 - np.exp(1j * phi_b)) / 2."""
+    phases = np.asarray(bond_phases, dtype=float)
+    h = np.ones(phases.size + 2, dtype=np.complex128)
+    h[1:-1] = (1.0 - np.exp(1j * phases)) / 2.0
+    return (h[:-1] * h[1:]).real
 
 
 # The measurement loop that builds a MeasurementSpec and P for every

@@ -13,7 +13,6 @@ from dotchain import (
     adiabatic_angle,
     apply_ising_phases,
     exact_mean_fidelity,
-    ideal_cluster,
     ising_coupling,
     measure,
     monte_carlo_fidelity,
@@ -22,8 +21,6 @@ from dotchain import (
     schedule_rounds,
     singlet_admixture,
     solve_hold_time,
-    state_fidelity,
-    stabilizer_expectation,
 )
 from dotchain.config import config_from_strings, load_config_file
 from dotchain.harness import (
@@ -36,7 +33,14 @@ from dotchain.harness import (
 from dotchain.measurement import MeasurementSpec, Z_AXIS
 
 from conftest import random_state
-from oracles import brute_mean_fidelity, ising_hamiltonian, trapezoid_phase
+from oracles import (
+    brute_mean_fidelity,
+    ideal_cluster,
+    ising_hamiltonian,
+    stabilizer_expectation,
+    state_fidelity,
+    trapezoid_phase,
+)
 
 
 def test_criterion_1_adiabatic_limits(dev):

@@ -13,7 +13,7 @@ from dotchain import (
     MeasurementRecord,
     MeasurementSpec,
     RoundSchedule,
-    ideal_cluster,
+    init_plus_chain,
     measure,
     project,
     run_schedule,
@@ -30,6 +30,7 @@ from oracles import (
     I2,
     PAULI_X,
     PAULI_Z,
+    ideal_cluster,
     kron_chain,
     spec_loop_measure,
     spec_loop_project,
@@ -369,6 +370,17 @@ def test_text_axis_components_are_refused(monkeypatch, axis):
     with pytest.raises(TypeError, match="numbers"):
         run_schedule(ideal_cluster(3), schedule_rounds([0, 2]), {0: Z_AXIS, 2: axis}, seed=0)
     assert draws == []
+
+
+def test_iterator_axis_is_read_once():
+    # run_schedule takes the axes MeasurementSpec takes, an iterator included
+    state = init_plus_chain(2)
+    axis = (0.6, 0.8, 0.0)
+    assert MeasurementSpec(0, iter(axis)).basis == axis
+    (record,) = run_schedule(state, schedule_rounds([0]), {0: iter(axis)}, 0)
+    expected, _ = measure(state, MeasurementSpec(0, axis), 0)
+    assert record == expected
+    assert record.probability == pytest.approx(0.2, abs=1e-12)
 
 
 def test_round_schedule_refuses_negative_qubit():

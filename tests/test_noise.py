@@ -12,12 +12,10 @@ from dotchain import (
     apply_ising_phases,
     exact_mean_fidelities,
     exact_mean_fidelity,
-    ideal_cluster,
     init_plus_chain,
     ideal_cluster_fidelity,
     monte_carlo_fidelities,
     monte_carlo_fidelity,
-    state_fidelity,
     trial_fidelities,
 )
 from dotchain import noise
@@ -25,8 +23,10 @@ from dotchain.noise import CHUNK_ELEMENTS, _chunk_trials
 
 from oracles import (
     brute_mean_fidelity,
+    ideal_cluster,
     per_point_monte_carlo,
     sample_bond_error_batch,
+    state_fidelity,
     unscaled_mean_fidelity,
 )
 

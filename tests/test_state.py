@@ -10,16 +10,22 @@ from dotchain import (
     ChainState,
     apply_ising_phases,
     cluster_stabilizers,
-    ideal_cluster,
     ideal_cluster_fidelity,
     init_plus_chain,
-    state_fidelity,
-    stabilizer_expectation,
 )
 from dotchain.state import prefix_cluster_fidelities
 
 from conftest import random_state
-from oracles import exp_contract_bonds, ising_hamiltonian, stabilizer_operator
+from oracles import (
+    exp_cluster_stabilizers,
+    exp_contract_bonds,
+    exp_ising_amplitudes,
+    ideal_cluster,
+    ising_hamiltonian,
+    stabilizer_expectation,
+    stabilizer_operator,
+    state_fidelity,
+)
 
 
 def test_init_plus_chain_amplitudes():
@@ -302,6 +308,32 @@ def test_contraction_matches_exp_oracle_bit_for_bit(batch, bonds, exponents, pre
     assert [_bits(v) for v in got] == [_bits(v) for v in exp_contract_bonds(columns, batch, prefixes)]
     if not batch:
         assert isinstance(ideal_cluster_fidelity(phases), float)
+
+
+_NEAR_PI = st.floats(min_value=-1e-3, max_value=1e-3).map(lambda d: math.pi + d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    phases=st.integers(min_value=1, max_value=12).flatmap(
+        lambda n: st.lists(
+            st.one_of(st.floats(min_value=-4 * math.pi, max_value=4 * math.pi), _NEAR_PI),
+            min_size=n - 1,
+            max_size=n - 1,
+        )
+    ),
+    seed=st.one_of(st.none(), st.integers(min_value=0, max_value=2**32 - 1)),
+)
+@example(phases=[-0.0, 0.0, math.pi, -math.pi], seed=None)
+def test_bond_factors_match_exp_oracle_bit_for_bit(phases, seed):
+    # the dense evolution and the closed-form stabilizers take exp(i phi)
+    # from _bond_factor, and give the bits they gave with np.exp; the state
+    # is the plus chain (seed None) or a random one
+    n = len(phases) + 1
+    state = init_plus_chain(n) if seed is None else random_state(n, np.random.default_rng(seed))
+    got = apply_ising_phases(state, phases).amplitudes
+    assert got.tobytes() == exp_ising_amplitudes(state, phases).tobytes()
+    assert cluster_stabilizers(phases).tobytes() == exp_cluster_stabilizers(phases).tobytes()
 
 
 def test_cluster_fidelity_refuses_non_finite_phases():
