@@ -8,8 +8,8 @@ key name (tau1_ns, tunnel_coupling_mev, ...). Unknown keys are rejected,
 every module precondition is checked up front, and the canonical
 serialization round-trips exactly so a run manifest can reproduce a run
 bit for bit. A config file may also be a run manifest (JSON with a
-config_text field); one written under a different RNG algorithm or
-package version is refused, since it would not reproduce its run.
+config_text field); one written under a different RNG algorithm, package
+version or numpy version is refused, since it would not reproduce its run.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ import json
 import math
 from dataclasses import dataclass, fields
 from typing import Any, Callable, NamedTuple
+
+import numpy as np
 
 from . import __version__
 from .measurement import NAMED_AXES
@@ -87,7 +89,6 @@ _TEXT = _Kind(str, str)
 
 # Defaults describe the reference device and pulse.
 KEYS: dict[str, tuple[str, _Kind]] = {
-    "dot_radius_nm": ("100.0", _FLOAT),
     "intradot_spacing_nm": ("200.0", _FLOAT),
     "intermolecule_spacing_nm": ("2000.0", _FLOAT),
     "relative_permittivity": ("12.9", _FLOAT),
@@ -177,8 +178,10 @@ def parse_kv_text(text: str) -> dict[str, str]:
 def load_config_file(path) -> dict[str, str]:
     """Raw key/value strings from a config file or a run manifest.
 
-    A manifest whose rng_algorithm or artifact_version differs from the
-    running code is refused with ConfigError; fields it omits are not checked.
+    A manifest whose rng_algorithm, artifact_version or numpy_version
+    differs from the running code is refused with ConfigError (numpy does
+    not promise the bits of np.log, np.cos and np.sin across releases);
+    fields it omits are not checked.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -186,7 +189,11 @@ def load_config_file(path) -> dict[str, str]:
         manifest = json.loads(text)
         if "config_text" not in manifest:
             raise ConfigError(f"{path}: JSON file is not a run manifest (no config_text)")
-        for key, current in (("rng_algorithm", RNG_ALGORITHM), ("artifact_version", __version__)):
+        for key, current in (
+            ("rng_algorithm", RNG_ALGORITHM),
+            ("artifact_version", __version__),
+            ("numpy_version", np.__version__),
+        ):
             if key in manifest and manifest[key] != current:
                 raise ConfigError(
                     f"{path}: manifest {key} {manifest[key]!r} differs from this "

@@ -26,8 +26,9 @@ every scheduled qubit's axis before it draws, and a missing axis is
 refused. It then draws all its uniforms in one call and carries one
 post-state from measurement to measurement. measure, project and
 run_schedule share the kernel and the projector lookup, and measure and
-run_schedule share one sampler. Each public call checks its input state
-once (post-states built here were validated by ChainState).
+run_schedule share one sampler, which never samples an outcome of
+probability 0. Each public call checks its input state once (post-states
+built here were validated by ChainState).
 
 A MeasurementRecord is the classical outcome of one measurement: qubit,
 outcome and probability, the record a one-way computation keeps
@@ -182,10 +183,6 @@ def _probability(branch: np.ndarray) -> float:
     return min(max(float(np.vdot(branch, branch).real), 0.0), 1.0)
 
 
-def _collapse(n: int, branch: np.ndarray, prob: float) -> ChainState | None:
-    return ChainState(n, branch / math.sqrt(prob)) if prob > 0.0 else None
-
-
 def project(
     state: ChainState, spec: MeasurementSpec, outcome: int
 ) -> tuple[float, ChainState | None]:
@@ -200,30 +197,33 @@ def project(
     n = state.n_qubits
     branch = _apply_on_qubit(state.amplitudes, _projector(spec.basis, outcome), spec.qubit, n)
     prob = _probability(branch)
-    return prob, _collapse(n, branch, prob)
+    return prob, ChainState(n, branch / math.sqrt(prob)) if prob > 0.0 else None
 
 
 def _sample(
     n: int, amps: np.ndarray, qubit: int, plus_columns, u: float
-) -> tuple[MeasurementRecord, ChainState | None]:
-    """Record and post-state; outcome +1 when u falls below p+. amps is not re-checked."""
+) -> tuple[MeasurementRecord, ChainState]:
+    """Record and post-state; -1 when u reaches p+ and p- > 0. amps is not re-checked.
+
+    A state normalized only to NORM_ATOL can leave p- = 0 with p+ below 1.
+    """
     plus = _apply_on_qubit(amps, plus_columns, qubit, n)
-    p_plus = _probability(plus)
-    if u < p_plus:
-        outcome, branch, prob = +1, plus, p_plus
-    else:
-        branch = amps - plus
-        outcome, prob = -1, _probability(branch)
-    return MeasurementRecord(qubit, outcome, prob), _collapse(n, branch, prob)
+    outcome, branch, prob = +1, plus, _probability(plus)
+    if u >= prob:
+        minus = amps - plus
+        p_minus = _probability(minus)
+        if p_minus > 0.0:
+            outcome, branch, prob = -1, minus, p_minus
+    return MeasurementRecord(qubit, outcome, prob), ChainState(n, branch / math.sqrt(prob))
 
 
 def measure(
     state: ChainState, spec: MeasurementSpec, seed: int, stream: int = 0
-) -> tuple[MeasurementRecord, ChainState | None]:
+) -> tuple[MeasurementRecord, ChainState]:
     """Sample one projective measurement: its record and its post-state.
 
-    Deterministic per (seed, stream). The post-state is renormalized, and it
-    is None only if the sampled outcome had probability 0.
+    Deterministic per (seed, stream). The post-state is renormalized and
+    never None: an outcome of probability 0 is never sampled.
 
     Checks the state once and draws stream `stream` of the seed's measurement
     domain. One projection serves both outcomes: the -1 branch is psi - P+ psi,

@@ -1,7 +1,7 @@
 """Closed-form device physics for a chain of double-dot singlet/triplet qubits.
 
-Each qubit is a two-electron double quantum dot ("molecule"): dot radius r,
-intradot spacing a, nearest molecules a distance b apart. The detuning eps
+Each qubit is a two-electron double quantum dot ("molecule"): intradot
+spacing a, nearest molecules a distance b apart. The detuning eps
 biases the (1,1) charge configuration against the doubly occupied (0,2)
 singlet; the tunnel coupling tc hybridizes the two singlets with a mixing
 angle theta. How much (0,2) weight a molecule carries (sin^2 theta) sets the
@@ -25,13 +25,13 @@ HALF_PI = math.pi / 2.0
 class DeviceParams:
     """Geometry and energy scales of the double-dot chain.
 
-    Defaults describe the reference device: r = 100 nm dots, a = 2r intradot
-    spacing, b = 20r between molecules, GaAs permittivity, tc = 0.01 meV,
-    charging energy 5 meV. a = 0 is accepted as the degenerate point-molecule
-    limit (no dipole, hence no state-dependent coupling).
+    Defaults describe the reference device: a = 200 nm intradot spacing,
+    b = 2000 nm between molecules, GaAs permittivity, tc = 0.01 meV,
+    charging energy 5 meV. Dots are point charges, so no dot size enters.
+    a = 0 is accepted as the degenerate point-molecule limit (no dipole,
+    hence no state-dependent coupling).
     """
 
-    dot_radius_nm: float = 100.0
     intradot_spacing_nm: float = 200.0
     intermolecule_spacing_nm: float = 2000.0
     relative_permittivity: float = GAAS_RELATIVE_PERMITTIVITY
@@ -40,7 +40,6 @@ class DeviceParams:
 
     def __post_init__(self) -> None:
         values = (
-            self.dot_radius_nm,
             self.intradot_spacing_nm,
             self.intermolecule_spacing_nm,
             self.relative_permittivity,
@@ -49,8 +48,6 @@ class DeviceParams:
         )
         if not all(math.isfinite(v) for v in values):
             raise ValueError(f"device parameters must be finite, got {self}")
-        if self.dot_radius_nm <= 0:
-            raise ValueError("dot_radius_nm must be > 0")
         if self.intradot_spacing_nm < 0:
             raise ValueError("intradot_spacing_nm must be >= 0")
         if self.intermolecule_spacing_nm <= 0:

@@ -64,26 +64,22 @@ class DetuningPulse:
     def detuning_at(self, t_ns: float) -> float:
         """Detuning eps(t) in meV for t inside [0, duration].
 
-        The down ramp is measured back from the end of the pulse, the mirror
-        of the up ramp, so a pulse with ramps starts and ends at eps_low
-        exactly; rounding never takes a value outside [eps_low, eps_high].
-        A rectangular pulse (ramp_ns = 0) gives eps_low at t = 0 and
-        eps_high everywhere after it, t = duration included.
+        Time is measured from the nearer end of the pulse, so the down ramp
+        is the exact mirror of the up ramp and every pulse starts and ends
+        at eps_low, a rectangular one (ramp_ns = 0) included; rounding never
+        takes a value outside [eps_low, eps_high].
         """
         if not math.isfinite(t_ns) or t_ns < 0.0 or t_ns > self.duration_ns:
             raise ValueError(
                 f"t={t_ns} ns outside pulse duration [0, {self.duration_ns}] ns"
             )
         lo, hi = self.eps_low_mev, self.eps_high_mev
-        if t_ns <= self.ramp_ns:
-            if self.ramp_ns == 0.0:
-                return lo
-            fraction = t_ns / self.ramp_ns
-        elif t_ns - self.ramp_ns <= self.hold_ns:
+        edge = min(t_ns, self.duration_ns - t_ns)
+        if edge == 0.0:
+            return lo
+        if edge >= self.ramp_ns:
             return hi
-        else:
-            fraction = (self.duration_ns - t_ns) / self.ramp_ns
-        return min(lo + (hi - lo) * fraction, hi)
+        return min(lo + (hi - lo) * (edge / self.ramp_ns), hi)
 
 
 def detuning_window(
@@ -119,12 +115,9 @@ def accumulated_phase(pulse: DetuningPulse, dev: DeviceParams) -> float:
     (1/hbar) * integral of ising_coupling(adiabatic_angle(eps(t))) dt, in
     closed form on the hold plateau and on both ramps.
     """
-    ramp_time = pulse.ramp_ns + pulse.ramp_ns
-    total_mev_ns = pulse.hold_ns * plateau_coupling(pulse, dev)
-    if ramp_time > 0.0:
-        per_mev = _ramp_coupling_integral_mev2(pulse, dev)
-        total_mev_ns += ramp_time * per_mev / (pulse.eps_high_mev - pulse.eps_low_mev)
-    return total_mev_ns / HBAR_MEV_NS
+    hold_mev_ns = pulse.hold_ns * plateau_coupling(pulse, dev)
+    ramp_mev2_ns = (pulse.ramp_ns + pulse.ramp_ns) * _ramp_coupling_integral_mev2(pulse, dev)
+    return (hold_mev_ns + ramp_mev2_ns / (pulse.eps_high_mev - pulse.eps_low_mev)) / HBAR_MEV_NS
 
 
 def solve_hold_time(

@@ -14,7 +14,8 @@ the dense verifiers are test oracles in tests/oracles.py. The O(n)
 contraction rescales every step, so it has no qubit cap of its own. Every
 bond factor exp(i * phi), dense or O(n), comes from _bond_factor. The
 contraction's complex product is written so that a chain's value does not
-depend on the size of the batch it is contracted in.
+depend on the size of the batch it is contracted in; a lone bond vector is
+contracted as a batch of one row.
 """
 
 from __future__ import annotations
@@ -109,10 +110,10 @@ def prefix_cluster_fidelities(bond_phases, prefixes) -> list:
     overflows; halving is exact, so the values equal the unscaled sum
     divided by 2^n. The bond factors of the bonds read are formed at once,
     and the loop takes one bond at a time; the Monte Carlo estimator feeds
-    it per-bond factors directly. A 1-d input is contracted in numpy's
-    scalar arithmetic, which can differ in the last bit from the same
-    vector as a batch row. Non-finite phases are refused, as
-    apply_ising_phases and cluster_stabilizers refuse them.
+    it per-bond factors directly. A 1-d input is contracted as a one-row
+    batch and returned as floats, the bits the same vector gets as a row
+    of any batch. Non-finite phases are refused, as apply_ising_phases and
+    cluster_stabilizers refuse them.
     """
     phases = np.asarray(bond_phases, dtype=float)
     if phases.ndim == 0:
@@ -122,8 +123,10 @@ def prefix_cluster_fidelities(bond_phases, prefixes) -> list:
     prefixes = list(prefixes)
     if any(not 0 <= k <= phases.shape[-1] for k in prefixes):
         raise ValueError(f"prefixes must lie in [0, {phases.shape[-1]}], got {prefixes}")
-    read = np.moveaxis(phases[..., : max(prefixes, default=0)], -1, 0)
-    return _contract_bonds(_bond_factor(read - math.pi), phases.shape[:-1], prefixes)
+    rows = np.atleast_2d(phases)
+    read = np.moveaxis(rows[..., : max(prefixes, default=0)], -1, 0)
+    fidelities = _contract_bonds(_bond_factor(read - math.pi), rows.shape[:-1], prefixes)
+    return [float(f[0]) for f in fidelities] if phases.ndim == 1 else fidelities
 
 
 def _bond_factor(delta: np.ndarray) -> np.ndarray:
@@ -143,14 +146,13 @@ def _contract_bonds(bond_factors, batch_shape, prefixes) -> list:
     """prefix_cluster_fidelities over bond factors handed over one bond at a time.
 
     bond_factors yields exp(i * (phi_b - pi)) of bond 0, 1, ... as complex
-    arrays of batch_shape, or as numpy complex scalars for an empty batch
-    shape (never 0-d arrays, whose arithmetic rounds like a batch's), so no
-    batch x bonds buffer is needed; only as many bonds as the longest
-    prefix are read. Prefixes must already be validated. The complex
-    product w1 * rot is the one step whose rounding depends on the code
-    path: with rot a named operand, numpy's temporary elision cannot swap
-    its operands, and it is written to a new array, never in place, so a
-    trial's value does not depend on the size of its batch.
+    arrays of batch_shape, so no batch x bonds buffer is needed; only as
+    many bonds as the longest prefix are read. Prefixes must already be
+    validated. The complex product w1 * rot is the one step whose rounding
+    depends on the code path: with rot a named operand, numpy's temporary
+    elision cannot swap its operands, and it is written to a new array,
+    never in place, so a trial's value does not depend on the size of its
+    batch.
     """
     wanted = set(prefixes)
     last = max(wanted, default=0)
@@ -161,8 +163,7 @@ def _contract_bonds(bond_factors, batch_shape, prefixes) -> list:
     for b in range(last + 1):
         half = (w0 + w1) * 0.5  # overlap of the chain of the first b bonds
         if b in wanted:
-            fidelity = np.abs(half) ** 2
-            fidelities[b] = float(fidelity) if fidelity.ndim == 0 else fidelity
+            fidelities[b] = np.abs(half) ** 2
         if b < last:
             rot = next(factors)
             w0, w1 = half, (w0 + w1 * rot) * 0.5

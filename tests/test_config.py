@@ -44,6 +44,14 @@ def test_unknown_key_rejected():
         config_from_strings({"tc_mev": "0.01"})
 
 
+def test_dot_radius_is_an_unknown_key():
+    # no formula reads a dot radius, so the key it once had is refused
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_kv_text("dot_radius_nm = 100.0")
+    with pytest.raises(ConfigError, match="unknown key"):
+        config_from_strings({"dot_radius_nm": "100.0"})
+
+
 def test_duplicate_and_malformed_rejected():
     with pytest.raises(ConfigError):
         parse_kv_text("seed = 1\nseed = 2")
@@ -113,7 +121,6 @@ def test_keys_are_config_fields():
 def test_default_canonical_text_is_pinned():
     # Run manifests replay this text, so its format must not drift.
     assert canonical_text(config_from_strings({})) == (
-        "dot_radius_nm = 100.0\n"
         "intradot_spacing_nm = 200.0\n"
         "intermolecule_spacing_nm = 2000.0\n"
         "relative_permittivity = 12.9\n"
@@ -137,7 +144,6 @@ def test_default_canonical_text_is_pinned():
 _POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
 # Valid values for every key but measure_pattern, whose range depends on n_qubits.
 _VALID_VALUES = {
-    "dot_radius_nm": _POSITIVE,
     "intradot_spacing_nm": st.floats(min_value=0.0, max_value=1e3),
     "intermolecule_spacing_nm": st.floats(min_value=2e3, max_value=1e6),
     "relative_permittivity": _POSITIVE,
@@ -207,7 +213,11 @@ def test_seed_range():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("rng_algorithm", "numpy.random.PCG64 seeded by SeedSequence"), ("artifact_version", "0.1.0")],
+    [
+        ("rng_algorithm", "numpy.random.PCG64 seeded by SeedSequence"),
+        ("artifact_version", "0.1.0"),
+        ("numpy_version", "1.0.0"),
+    ],
 )
 def test_load_rejects_mismatched_manifest(tmp_path, field, value):
     path = tmp_path / "run_manifest.json"

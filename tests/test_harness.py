@@ -215,7 +215,8 @@ def test_prepare_half_phase(tmp_path, dev):
     # rectangular pulse at half the calibrated hold leaves the bond at pi/2:
     # single-bond fidelity (5 + 3 cos(pi/2))/8 = 0.625
     tau2 = solve_hold_time(0.0, dev)
-    report = run_prepare(cfg_with(n_qubits=2, tau1_ns=0.0, tau2_ns=tau2 / 2), tmp_path)
+    with pytest.warns(UserWarning, match="ramp_ns=0 ns is below"):
+        report = run_prepare(cfg_with(n_qubits=2, tau1_ns=0.0, tau2_ns=tau2 / 2), tmp_path)
     assert report.bond_phase_rad == pytest.approx(math.pi / 2, rel=1e-9)
     assert report.fidelity_to_ideal == pytest.approx(0.625, rel=1e-6)
     assert not report.passed
@@ -303,9 +304,10 @@ def test_cli_prepare_exit_codes(tmp_path, dev):
     tau2 = solve_hold_time(0.0, dev)
     half_cfg = tmp_path / "half.cfg"
     half_cfg.write_text(f"tau1_ns = 0.0\ntau2_ns = {tau2 / 2!r}\nn_qubits = 2\n")
-    failed = runner.invoke(
-        main, ["prepare", "--config", str(half_cfg), "--out", str(tmp_path / "half")]
-    )
+    with pytest.warns(UserWarning, match="ramp_ns=0 ns is below"):
+        failed = runner.invoke(
+            main, ["prepare", "--config", str(half_cfg), "--out", str(tmp_path / "half")]
+        )
     assert failed.exit_code == 2
 
 
@@ -435,7 +437,8 @@ def test_cli_prepare_refuses_non_finite_bond_phase(tmp_path):
     cfg = tmp_path / "overflow.cfg"
     cfg.write_text("relative_permittivity = 0.01\ntau2_ns = 1e306\nn_qubits = 3\n")
     out = tmp_path / "out"
-    result = CliRunner().invoke(main, ["prepare", "--config", str(cfg), "--out", str(out)])
+    with pytest.warns(UserWarning, match="exceeds the coherence budget"):
+        result = CliRunner().invoke(main, ["prepare", "--config", str(cfg), "--out", str(out)])
     assert result.exit_code == 1
     assert "bond phases must be finite" in result.output
     assert not (out / "stabilizers.csv").exists()

@@ -147,6 +147,26 @@ def test_unlikely_minus_outcome_keeps_precision():
     assert np.allclose(post.amplitudes, [1, 0], atol=1e-12)
 
 
+def test_outcome_of_probability_zero_is_never_sampled(monkeypatch):
+    # the norm is 1 - 4e-11, inside NORM_ATOL: p+ = 1 - 8e-11 on qubit 0's z
+    # axis and p- is exactly 0, so even the largest uniform must give +1
+    c = math.sqrt(0.5) * (1.0 - 4e-11)
+    state = ChainState(2, np.array([0.0, 0.0, c, c]))
+    largest = 1.0 - 2.0**-53
+
+    def top_uniforms(seed, domain, first_stream, n_streams):
+        return np.full((n_streams, 4), largest)
+
+    monkeypatch.setattr(measurement, "uniforms", top_uniforms)
+    record, post = measure(state, MeasurementSpec(0, Z_AXIS), seed=0)
+    schedule = schedule_rounds([0, 1])
+    first = run_schedule(state, schedule, {0: Z_AXIS, 1: Z_AXIS}, seed=0)[0]
+    for got in (record, first):
+        assert (got.qubit, got.outcome) == (0, +1)
+        assert got.probability == pytest.approx(1.0 - 8e-11, abs=1e-15)
+    assert post is not None and abs(post.norm() - 1.0) < 1e-15
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(min_value=1, max_value=8), seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_project_matches_kron_oracle(n, seed):

@@ -80,14 +80,14 @@ def test_batch_rows_equal_single_streams():
 
 
 def test_trial_fidelities_follow_streams():
-    # every chunked trial is its own stream's draw, contracted as a one-row
-    # batch (a lone 1-d vector goes through numpy's scalar math instead)
+    # every chunked trial is its own stream's draw, and equals that lone
+    # vector's fidelity bit for bit
     model = PhaseNoiseModel(SIGMA)
     trials = 2 * _chunk_trials(1, 4) + 7
     fidelities = trial_fidelities(5, model, trials, seed=23)
     for t in range(trials):
         phases = sample_bond_error_batch(model, 4, seed=23, first_stream=t, n_streams=1)[0]
-        assert fidelities[t] == ideal_cluster_fidelity(phases[np.newaxis])[0]
+        assert fidelities[t] == ideal_cluster_fidelity(phases)
 
 
 def test_trial_fidelities_prefix_property():

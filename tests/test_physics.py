@@ -20,7 +20,6 @@ HALF_PI = math.pi / 2
 
 def test_default_device():
     dev = DeviceParams()
-    assert dev.dot_radius_nm == 100.0
     assert dev.intradot_spacing_nm == 200.0
     assert dev.intermolecule_spacing_nm == 2000.0
     assert dev.tunnel_coupling_mev == 0.01
@@ -33,8 +32,6 @@ def test_default_device():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"dot_radius_nm": 0.0},
-        {"dot_radius_nm": -1.0},
         {"intradot_spacing_nm": -5.0},
         {"intermolecule_spacing_nm": 0.0},
         {"intermolecule_spacing_nm": 100.0},  # below intradot spacing
@@ -190,7 +187,6 @@ def test_scale_invariance(scale):
     # divides every energy by s.
     base = DeviceParams()
     scaled = DeviceParams(
-        dot_radius_nm=base.dot_radius_nm * scale,
         intradot_spacing_nm=base.intradot_spacing_nm * scale,
         intermolecule_spacing_nm=base.intermolecule_spacing_nm * scale,
     )

@@ -38,12 +38,17 @@ def test_detuning_endpoints(dev):
 
 
 def test_rectangular_pulse_endpoints():
-    # With no ramp the pulse jumps to eps_high right after t = 0 and is
-    # still there at t = duration: only the start reads eps_low.
+    # Every pulse starts and ends at eps_low, a rectangular one (no ramp)
+    # included; in between a rectangular pulse sits at eps_high.
+    for ramp in (0.0, 0.3, 1.0):
+        for hold in (0.0, 2.0):
+            pulse = DetuningPulse(ramp, hold, -2.5, 2.5)
+            assert pulse.detuning_at(0.0) == -2.5
+            assert pulse.detuning_at(pulse.duration_ns) == -2.5
     pulse = DetuningPulse(0.0, 2.0, -2.5, 2.5)
-    assert pulse.detuning_at(0.0) == -2.5
     assert pulse.detuning_at(1.0) == 2.5
-    assert pulse.detuning_at(pulse.duration_ns) == 2.5
+    assert pulse.detuning_at(math.nextafter(0.0, 1.0)) == 2.5
+    assert pulse.detuning_at(math.nextafter(pulse.duration_ns, 0.0)) == 2.5
 
 
 def test_detuning_out_of_range(dev):
