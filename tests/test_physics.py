@@ -32,6 +32,8 @@ def test_default_device():
 @pytest.mark.parametrize(
     "kwargs",
     [
+        {"relative_permittivity": -1.0},
+        {"intradot_spacing_nm": float("nan")},
         {"intradot_spacing_nm": -5.0},
         {"intermolecule_spacing_nm": 0.0},
         {"intermolecule_spacing_nm": 100.0},  # below intradot spacing
