@@ -114,10 +114,10 @@ def run_figure3(cfg: ExperimentConfig, out_dir) -> dict[str, Path]:
     from one monte_carlo_fidelities call and one exact_mean_fidelities
     call. Every row reads trials 0 .. trials - 1 of cfg.seed, so rows are
     correlated, as they always were; the noise module docstring gives the
-    stream layout and the chunking that bounds memory. The widest stream
-    width holds n = 18..20 and the whole sigma sweep, so at most
-    (3 + len(sigma_over_pi)) x trials x 8 B of per-trial fidelities are held
-    at once. Rows follow the config order; a repeated sigma repeats its row.
+    stream layout and the chunking that bounds memory. Each trial is drawn
+    once for the whole grid, and at most (19 + len(sigma_over_pi)) x trials
+    x 8 B of per-trial fidelities are held at once. Rows follow the config
+    order; a repeated sigma repeats its row.
     """
     out = _ensure_out(out_dir)
     grid = [(n, FIGURE3_N_SWEEP_SIGMA_OVER_PI) for n in FIGURE3_N_RANGE]

@@ -11,23 +11,27 @@ Two estimators of the mean fidelity, kept deliberately independent:
   resulting fidelity to the ideal cluster, for a whole grid of
   (n, sigma) points at once; monte_carlo_fidelity and trial_fidelities are
   its one-point views. Trial t is stream t of the noise domain of the
-  counter-based Philox layout in rng: its bond errors are sigma times the
-  first n - 1 Box-Muller normals of counter blocks t*w + 1 ... (t + 1)*w,
-  w = ceil((n - 1) / 4), of key seed. So every point of one seed and one
-  stream width w reads the same blocks for trial t, whatever its n and
-  sigma: the grid draws each chunk of trials once per width, and one
-  contraction up to the width's longest chain gives every shorter chain
-  as a prefix. Points that share trials have correlated estimates, as
-  separate calls with one seed always had. A chunk holds
-  CHUNK_ELEMENTS // max(distinct sigmas, bonds) trials, at least one. Its
-  normals are drawn once, transposed once so that each bond's normals are
-  one contiguous row, and handed to the contraction one bond at a time,
-  as one sigma x trial array per bond, so no sigma x trial x bond buffer is
-  built and every per-chunk array stays within 128 KiB at any chain
-  length. At most (points of one width) x trials x 8 B of per-trial
-  fidelities are held at once. Each trial's value is independent of the
-  trial count, the chunk size (whatever CHUNK_ELEMENTS is) and the rest of
-  the grid;
+  counter-based Philox layout in rng: bond b's error is sigma times
+  Box-Muller normal b of the stream, which comes from its block b // 4,
+  counter block (t + 1) + (b // 4) * 2**64 of key seed. A trial's normal for
+  bond b is thus the same at every chain length, and every point of one
+  seed reads the same normals for trial t, whatever its n and sigma: the
+  grid draws each chunk of trials once, up to its longest chain, and one
+  contraction over its distinct nonzero sigmas gives every (n, sigma)
+  point as prefix n - 1 of its sigma's row. A sigma = 0 point is neither
+  drawn nor contracted: every bond factor of it is exactly 1 + 0j, so
+  every trial is exactly 1.0. Points that share trials have correlated
+  estimates, as separate calls with one seed always had. A chunk holds
+  CHUNK_ELEMENTS // max(distinct nonzero sigmas, bonds) trials, at least
+  one. Its normals are drawn once, transposed once so that each bond's
+  normals are one contiguous row, and handed to the contraction one bond
+  at a time, as one sigma x trial array per bond, so no sigma x trial x
+  bond buffer is built and every per-chunk array stays within 128 KiB at
+  any chain length; |overlap|^2 is formed only for the rows some point
+  reads at that bond. The per-trial fidelities of every distinct noisy
+  point, (distinct points) x trials x 8 B, are held until the last chunk.
+  Each trial's value is independent of the trial count, the chunk size
+  (whatever CHUNK_ELEMENTS is) and the rest of the grid;
 - exact_mean_fidelities integrates the Gaussian analytically, for a whole
   grid of points at once; exact_mean_fidelity is its one-point view. The
   average of exp(i delta (u - u')) over delta is exp(-sigma^2/2) whenever
@@ -45,11 +49,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import NOISE, normal_width, normals
+from .rng import NOISE, normals
 from .state import MAX_QUBITS, _bond_factor, _contract_bonds
 
 # Element budget of one chunk of trials: a chunk holds
-# _chunk_trials(distinct sigmas, bonds) trials, so it draws at most
+# _chunk_trials(distinct nonzero sigmas, bonds) trials, so it draws at most
 # CHUNK_ELEMENTS normals (64 KiB) and every per-bond complex array of the
 # contraction (sigmas x trials) stays within 128 KiB, for any chain length.
 # Values do not depend on it: state._contract_bonds names both operands of
@@ -95,38 +99,41 @@ def _chunk_trials(n_sigmas: int, n_bonds: int) -> int:
 def _reduce_trial_fidelities(points, trials: int, seed: int, reduce) -> list:
     """reduce(per-trial fidelities) of every (n_qubits, model) point, in order.
 
-    Serves one stream width at a time, as the module docstring describes, and
-    reduces a width's fidelity arrays before the next width starts.
+    Draws and contracts each chunk of trials once for the whole grid, as the
+    module docstring describes. A repeated point is reduced once; a sigma = 0
+    point is neither drawn nor contracted, since each of its bond factors
+    is exactly 1 + 0j and so each of its trials exactly 1.0.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    groups: dict[int, list[int]] = {}
-    for i, (n_qubits, _) in enumerate(points):
+    for n_qubits, _ in points:
         if not 2 <= n_qubits <= MAX_QUBITS:
             raise ValueError(f"n_qubits must lie in [2, {MAX_QUBITS}], got {n_qubits}")
-        groups.setdefault(normal_width(n_qubits - 1), []).append(i)
-    results = [None] * len(points)
-    for members in groups.values():
-        sigmas = list(dict.fromkeys(points[i][1].sigma_rad for i in members))
-        row = {sigma: r for r, sigma in enumerate(sigmas)}
-        scale = np.array(sigmas)[:, np.newaxis]
-        prefixes = sorted({points[i][0] - 1 for i in members})
-        bonds = prefixes[-1]
-        fidelities = {i: np.empty(trials) for i in members}
-        count = _chunk_trials(len(sigmas), bonds)
+    keys = list(dict.fromkeys((n_qubits, model.sigma_rad) for n_qubits, model in points))
+    noisy = [key for key in keys if key[1] != 0.0]
+    row = {sigma: r for r, sigma in enumerate(dict.fromkeys(sigma for _, sigma in noisy))}
+    # bonds b -> {row of sigma: per-trial fidelities of the point (b + 1, sigma)}
+    reads: dict[int, dict[int, np.ndarray]] = {}
+    for n_qubits, sigma in noisy:
+        reads.setdefault(n_qubits - 1, {})[row[sigma]] = np.empty(trials)
+    if noisy:
+        scale = np.array(list(row))[:, np.newaxis]
+        bonds = max(reads)
+        count = _chunk_trials(len(row), bonds)
         for start in range(0, trials, count):
             size = min(count, trials - start)
             # one transpose a chunk, so that each bond's normals are a contiguous row
             by_bond = normals(seed, NOISE, start, size, bonds).T.copy()
             # (pi + sigma z) - pi, not sigma z: the trial's phase error as rounded in float64
             factors = (_bond_factor((np.pi + scale * z) - np.pi) for z in by_bond)
-            by_prefix = dict(zip(prefixes, _contract_bonds(factors, (len(sigmas), size), prefixes)))
-            for i in members:
-                n_qubits, model = points[i]
-                fidelities[i][start : start + size] = by_prefix[n_qubits - 1][row[model.sigma_rad]]
-        for i in members:
-            results[i] = reduce(fidelities.pop(i))
-    return results
+            for b, half in enumerate(_contract_bonds(factors, (len(row), size), bonds)):
+                for r, fidelities in reads.get(b, {}).items():
+                    fidelities[start : start + size] = np.abs(half[r]) ** 2
+    values = {}
+    for n_qubits, sigma in keys:
+        fidelities = reads[n_qubits - 1].pop(row[sigma]) if sigma != 0.0 else np.ones(trials)
+        values[n_qubits, sigma] = reduce(fidelities)
+    return [values[n_qubits, model.sigma_rad] for n_qubits, model in points]
 
 
 def trial_fidelities(
@@ -147,9 +154,9 @@ def monte_carlo_fidelities(points, trials: int, seed: int) -> list[FidelityEstim
     """Sampled mean fidelity of each (n_qubits, model) point of a grid, in order.
 
     Point by point, bit-identical to monte_carlo_fidelity: every point reads
-    trials 0 .. trials - 1 of the seed, so points of one stream width share
-    their trials (and are correlated), and each trial is drawn once per
-    width and contracted once per distinct sigma of that width.
+    trials 0 .. trials - 1 of the seed, so all points share their trials
+    (and are correlated). Each trial is drawn once for the whole grid, up to
+    its longest chain, and contracted once per distinct nonzero sigma.
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")

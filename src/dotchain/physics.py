@@ -59,6 +59,11 @@ class DeviceParams:
             )
         if self.relative_permittivity <= 0:
             raise ValueError("relative_permittivity must be > 0")
+        if not math.isfinite(self.coulomb_mev_nm):
+            raise ValueError(
+                f"relative_permittivity {self.relative_permittivity!r} is too small: "
+                "the screened Coulomb constant overflows"
+            )
         if self.tunnel_coupling_mev <= 0:
             raise ValueError("tunnel_coupling_mev must be > 0")
         if self.charging_energy_mev <= 0:

@@ -8,17 +8,21 @@ built-in Philox:
 - the 128-bit key is base_seed + domain * 2**64, so 0 <= base_seed < 2**64;
   the domain keeps Monte Carlo noise (NOISE) and measurement outcomes
   (MEASUREMENT) apart;
-- stream s of width w blocks reads counter blocks s*w + 1 ... (s + 1)*w, four
-  64-bit words per block;
+- block j of stream s is counter block (s + 1) + j * 2**64, the Philox
+  counter words (s + 1, j, 0, 0), four 64-bit words per block; a stream of
+  width w reads its blocks 0 .. w - 1;
 - a word becomes the uniform ((word >> 12) + 0.5) * 2**-52, which is exact
   and lies strictly inside (0, 1);
 - normals come from Box-Muller on consecutive word pairs, two per pair, so a
   stream of k normals has width ceil(k / 4) blocks.
 
-Every stream consumes a fixed number of words, so stream s depends only on
-(base_seed, domain, s): Monte Carlo trial t is the same whether it is drawn
-alone or in a batch, and a batch of consecutive streams is one vectorised
-draw. The algorithm identifier below is recorded in run manifests.
+A block depends only on (base_seed, domain, stream, block index), never on
+the stream width, so a stream of width w is the first w blocks of any wider
+stream: Monte Carlo trial t gives bond b the same normal for every chain
+length and every grid, and the same value whether it is drawn alone or in a
+batch. Block j of a batch of consecutive streams is one contiguous
+vectorised draw. The algorithm identifier below is recorded in run
+manifests.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ WORDS_PER_BLOCK = 4
 
 RNG_ALGORITHM = (
     "numpy.random.Philox 4x64-10, key = base_seed + domain*2**64 (noise 0, measurement 1); "
-    "stream s of w blocks reads counter blocks s*w+1..(s+1)*w; "
+    "block j of stream s is counter block (s+1) + j*2**64; "
     "uniform ((word >> 12) + 0.5) * 2**-52; normals by Box-Muller on word pairs"
 )
 
@@ -52,8 +56,9 @@ def raw_words(
 ) -> np.ndarray:
     """Raw words of streams first_stream .. first_stream + n_streams - 1.
 
-    One row per stream, 4 * width uint64 words each; row t equals the same
-    call with first_stream + t and n_streams = 1.
+    One row per stream, 4 * width uint64 words each, block 0 first; row t
+    equals the same call with first_stream + t and n_streams = 1, and the
+    first 4 * v words of a row equal the same call with width v < width.
     """
     if not 0 <= base_seed < SEED_BOUND:
         raise ValueError(f"base_seed must lie in [0, 2**64), got {base_seed}")
@@ -63,24 +68,26 @@ def raw_words(
         raise ValueError("need first_stream >= 0, n_streams >= 1 and width >= 1")
     if first_stream + n_streams > _WORD:
         raise ValueError("streams must lie in [0, 2**64)")
-    counter = first_stream * width
+    # counter words (first_stream, j, 0, 0): the generator steps the counter
+    # before each block it draws, so block j of stream s is (s + 1, j, 0, 0)
+    counter = np.array([first_stream, 0, 0, 0], dtype=np.uint64)
     state = {
         "bit_generator": "Philox",
-        "state": {
-            "counter": np.array([(counter >> (64 * i)) % _WORD for i in range(4)], dtype=np.uint64),
-            "key": np.array([base_seed, domain], dtype=np.uint64),
-        },
+        "state": {"counter": counter, "key": np.array([base_seed, domain], dtype=np.uint64)},
         "buffer": np.zeros(WORDS_PER_BLOCK, dtype=np.uint64),
         "buffer_pos": WORDS_PER_BLOCK,
         "has_uint32": 0,
         "uinteger": 0,
     }
+    words = np.empty((n_streams, width, WORDS_PER_BLOCK), dtype=np.uint64)
     global _PHILOX
     with _PHILOX_LOCK:
         if _PHILOX is None:
             _PHILOX = np.random.Philox(0)
-        _PHILOX.state = state
-        words = _PHILOX.random_raw(n_streams * width * WORDS_PER_BLOCK)
+        for j in range(width):
+            counter[1] = j
+            _PHILOX.state = state
+            words[:, j] = _PHILOX.random_raw(n_streams * WORDS_PER_BLOCK).reshape(n_streams, -1)
     return words.reshape(n_streams, width * WORDS_PER_BLOCK)
 
 

@@ -124,8 +124,12 @@ def prefix_cluster_fidelities(bond_phases, prefixes) -> list:
     if any(not 0 <= k <= phases.shape[-1] for k in prefixes):
         raise ValueError(f"prefixes must lie in [0, {phases.shape[-1]}], got {prefixes}")
     rows = np.atleast_2d(phases)
-    read = np.moveaxis(rows[..., : max(prefixes, default=0)], -1, 0)
-    fidelities = _contract_bonds(_bond_factor(read - math.pi), rows.shape[:-1], prefixes)
+    last = max(prefixes, default=0)
+    read = np.moveaxis(rows[..., :last], -1, 0)
+    halves = _contract_bonds(_bond_factor(read - math.pi), rows.shape[:-1], last)
+    wanted = set(prefixes)
+    by_prefix = {b: np.abs(half) ** 2 for b, half in enumerate(halves) if b in wanted}
+    fidelities = [by_prefix[k] for k in prefixes]
     return [float(f[0]) for f in fidelities] if phases.ndim == 1 else fidelities
 
 
@@ -142,32 +146,27 @@ def _bond_factor(delta: np.ndarray) -> np.ndarray:
     return rot
 
 
-def _contract_bonds(bond_factors, batch_shape, prefixes) -> list:
-    """prefix_cluster_fidelities over bond factors handed over one bond at a time.
+def _contract_bonds(bond_factors, batch_shape, last: int):
+    """Yield the overlap of the chain of the first b bonds, for b = 0 .. last.
 
     bond_factors yields exp(i * (phi_b - pi)) of bond 0, 1, ... as complex
-    arrays of batch_shape, so no batch x bonds buffer is needed; only as
-    many bonds as the longest prefix are read. Prefixes must already be
-    validated. The complex product w1 * rot is the one step whose rounding
-    depends on the code path: with rot a named operand, numpy's temporary
-    elision cannot swap its operands, and it is written to a new array,
-    never in place, so a trial's value does not depend on the size of its
-    batch.
+    arrays of batch_shape, so no batch x bonds buffer is needed; bonds
+    0 .. last - 1 are read. Each yielded array is the overlap of that chain
+    with the ideal cluster, and its fidelity is the overlap's |.|^2, which a
+    caller forms only for the entries it reads. The complex product w1 * rot is the one step whose rounding depends on
+    the code path: with rot a named operand, numpy's temporary elision
+    cannot swap its operands, and it is written to a new array, never in
+    place, so a trial's value does not depend on the size of its batch.
     """
-    wanted = set(prefixes)
-    last = max(wanted, default=0)
     factors = iter(bond_factors)
     w0 = np.ones(batch_shape, dtype=np.complex128)
     w1 = np.ones(batch_shape, dtype=np.complex128)
-    fidelities = {}
     for b in range(last + 1):
-        half = (w0 + w1) * 0.5  # overlap of the chain of the first b bonds
-        if b in wanted:
-            fidelities[b] = np.abs(half) ** 2
+        half = (w0 + w1) * 0.5
+        yield half
         if b < last:
             rot = next(factors)
             w0, w1 = half, (w0 + w1 * rot) * 0.5
-    return [fidelities[k] for k in prefixes]
 
 
 def cluster_stabilizers(bond_phases) -> np.ndarray:

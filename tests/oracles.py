@@ -207,9 +207,8 @@ def exp_contract_bonds(bond_columns, batch_shape, prefixes) -> list:
     """prefix_cluster_fidelities over bond phases handed over one bond at a time.
 
     bond_columns yields the phases of bond 0, 1, ... as arrays of
-    batch_shape (numpy scalars for an empty batch shape), so no
-    batch x bonds buffer is needed; only as many bonds as the longest
-    prefix are read. Prefixes must already be validated.
+    batch_shape, so no batch x bonds buffer is needed; only as many bonds
+    as the longest prefix are read. Prefixes must already be validated.
     """
     wanted = set(prefixes)
     last = max(wanted, default=0)
@@ -220,8 +219,7 @@ def exp_contract_bonds(bond_columns, batch_shape, prefixes) -> list:
     for b in range(last + 1):
         half = (w0 + w1) * 0.5  # overlap of the chain of the first b bonds
         if b in wanted:
-            fidelity = np.abs(half) ** 2
-            fidelities[b] = float(fidelity) if fidelity.ndim == 0 else fidelity
+            fidelities[b] = np.abs(half) ** 2
         if b < last:
             rot = 1j * (next(bonds) - math.pi)  # exact: real part 0, imaginary part the delta
             w0, w1 = half, (w0 + w1 * np.exp(rot)) * 0.5

@@ -123,7 +123,7 @@ def test_figure3_rows_match_per_point_oracle(tmp_path, trials):
         assert (float(row[2]), float(row[3])) == oracle
 
 
-def test_figure3_draws_each_trial_once_per_width(tmp_path, monkeypatch):
+def test_figure3_draws_each_trial_once(tmp_path, monkeypatch):
     import dotchain.noise as noise
 
     calls = []
@@ -138,16 +138,13 @@ def test_figure3_draws_each_trial_once_per_width(tmp_path, monkeypatch):
     cfg = cfg_with(trials=trials, seed=3)  # the default sigma grid
     run_figure3(cfg, tmp_path)
 
-    sigmas_of_width = {}
-    for n, sigma in [(n, 0.03) for n in range(2, 21)] + [(20, s) for s in cfg.sigma_over_pi]:
-        sigmas_of_width.setdefault(normal_width(n - 1), set()).add(sigma)
-    for width in sigmas_of_width:
-        streams = [t for w, first, count, _ in calls if w == width for t in range(first, first + count)]
-        assert sorted(streams) == list(range(trials))
-    # 1 + 2 + 3 + 4 + 5 blocks a trial; 110 when every row drew its own trials
-    assert sum(width * count for width, _, count, _ in calls) == 15 * trials
-    for width, _, count, bonds in calls:
-        assert count * max(len(sigmas_of_width[width]), bonds) <= CHUNK_ELEMENTS or count == 1
+    sigmas = {0.03} | set(cfg.sigma_over_pi)
+    streams = [t for _, first, count, _ in calls for t in range(first, first + count)]
+    assert sorted(streams) == list(range(trials))
+    # 5 blocks a trial for the 19 bonds of n = 20; 15 when each width drew its own
+    assert sum(width * count for width, _, count, _ in calls) == 5 * trials
+    for _, _, count, bonds in calls:
+        assert count * max(len(sigmas), bonds) <= CHUNK_ELEMENTS or count == 1
 
 
 def test_prepare_defaults(tmp_path):
@@ -443,6 +440,43 @@ def test_cli_prepare_refuses_non_finite_bond_phase(tmp_path):
     assert "bond phases must be finite" in result.output
     assert not (out / "stabilizers.csv").exists()
     assert not (out / "prepare_report.json").exists()
+
+
+def test_cli_prepare_refuses_overflowing_permittivity(tmp_path):
+    # the screened Coulomb constant is inf at eps_r = 1e-310; the refusal
+    # names the key, not the pulse it would have made non-finite
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text("relative_permittivity = 1e-310\n")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["prepare", "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "relative_permittivity" in result.output
+    assert not out.exists()
+
+
+# The rng_algorithm that 0.4.0 manifests carry: stream s of width w read
+# counter blocks s*w + 1 .. (s + 1)*w, so its figure3 rows of n > 5 differ.
+RNG_ALGORITHM_0_4_0 = (
+    "numpy.random.Philox 4x64-10, key = base_seed + domain*2**64 (noise 0, measurement 1); "
+    "stream s of w blocks reads counter blocks s*w+1..(s+1)*w; "
+    "uniform ((word >> 12) + 0.5) * 2**-52; normals by Box-Muller on word pairs"
+)
+
+
+def test_cli_refuses_figure3_manifest_from_0_4_0(tmp_path):
+    runner = CliRunner()
+    first = runner.invoke(main, ["figure3", "--trials", "150", "--out", str(tmp_path / "first")])
+    assert first.exit_code == 0, first.output
+    manifest = json.loads((tmp_path / "first" / "run_manifest.json").read_text())
+    manifest.update(artifact_version="0.4.0", rng_algorithm=RNG_ALGORITHM_0_4_0)
+    old = tmp_path / "old_manifest.json"
+    old.write_text(json.dumps(manifest))
+    out = tmp_path / "replay"
+    result = runner.invoke(main, ["figure3", "--config", str(old), "--out", str(out)])
+    assert result.exit_code == 1
+    assert "rng_algorithm" in result.output
+    assert not out.exists()
 
 
 def test_cli_refuses_manifest_from_older_version(tmp_path):

@@ -123,6 +123,22 @@ def test_monte_carlo_zero_sigma():
     assert est.n_trials == 200 and est.base_seed == 9
 
 
+def test_zero_sigma_trials_are_exact_ones_and_draw_nothing(monkeypatch):
+    # every bond factor of a zero phase error is exactly 1 + 0j, so the
+    # contraction would give exactly 1.0 a trial; nothing is drawn for it
+    drawn = []
+    monkeypatch.setattr(noise, "normals", lambda *args: drawn.append(args))
+    model = PhaseNoiseModel(0.0)
+    for n in (2, 5, 6, 24):
+        fidelities = trial_fidelities(n, model, 700, seed=5)
+        assert fidelities.tobytes() == np.ones(700).tobytes()
+        contracted = ideal_cluster_fidelity(np.full((700, n - 1), math.pi))
+        assert fidelities.tobytes() == contracted.tobytes()
+    estimates = monte_carlo_fidelities([(20, model), (3, PhaseNoiseModel(-0.0))], trials=300, seed=5)
+    assert [(e.mean, e.standard_error) for e in estimates] == [(1.0, 0.0), (1.0, 0.0)]
+    assert drawn == []
+
+
 def test_monte_carlo_validation():
     model = PhaseNoiseModel(SIGMA)
     with pytest.raises(ValueError):

@@ -50,6 +50,13 @@ def test_device_validation(kwargs):
         DeviceParams(**kwargs)
 
 
+def test_device_refuses_overflowing_coulomb_constant():
+    # e^2 / (4 pi eps0 eps_r) is inf at eps_r = 1e-310; every coupling would be inf or nan
+    with pytest.raises(ValueError, match="relative_permittivity"):
+        DeviceParams(relative_permittivity=1e-310)
+    assert math.isfinite(DeviceParams(relative_permittivity=1e-300).coulomb_mev_nm)
+
+
 def test_device_allows_point_molecule():
     dev = DeviceParams(intradot_spacing_nm=0.0)
     assert dev.intradot_spacing_nm == 0.0

@@ -9,12 +9,13 @@ from dotchain.rng import MEASUREMENT, NOISE, normals, raw_words, uniforms
 # The first block of seed 0 in the noise domain, counter block 1 of key 0.
 SEED0_FIRST_BLOCK = [0x02F4BA6408E4D89B, 0x3DD62B0B9CA8C5B2, 0x1C8667A55D902E79, 0x907D7A052FD5B4DC]
 
-# Streams 0 and 1 of seed 0, six normals each (noise domain).
+# Streams 0 and 1 of seed 0, six normals each (noise domain): four from
+# block 0 of the stream and two from its block 1.
 SEED0_NORMALS = [
     [0.15853383451843983, 2.9828792826170765, -1.925691981917186,
-     -0.8249255452762647, -0.2025032796912323, 1.1557642251763285],
-    [0.5604448530802857, 1.5582489604606746, 0.5597674968215965,
-     0.6056650201313393, -0.033185934549925335, 1.0557185190923972],
+     -0.8249255452762647, 0.3784091416407317, 1.720601646392512],
+    [-0.2025032796912323, 1.1557642251763285, 0.33020450446762895,
+     -0.028982948293703865, -0.6636568484795956, 0.2106181478953009],
 ]
 
 # First uniform of measurement streams 0, 1 and 2 of seed 0.
@@ -31,10 +32,29 @@ def test_known_answers_seed0():
 
 
 def test_stream_reads_its_own_counter_blocks():
-    # stream s of width w reads blocks s*w + 1 .. (s + 1)*w of key seed + domain * 2**64
+    # block j of stream s is counter block (s + 1) + j * 2**64 of key seed + domain * 2**64
     words = raw_words(5, MEASUREMENT, 3, 1, 2)[0]
-    expected = np.random.Philox(key=5 + 2**64, counter=6).random_raw(8)
-    assert np.array_equal(words, expected)
+    key = 5 + 2**64
+    expected = [np.random.Philox(key=key, counter=3 + j * 2**64).random_raw(4) for j in (0, 1)]
+    assert np.array_equal(words, np.concatenate(expected))
+
+
+@pytest.mark.parametrize(
+    "seed, domain, stream, block",
+    [(0, NOISE, 0, 0), (0, NOISE, 0, 4), (9, MEASUREMENT, 41, 2), (2**64 - 1, NOISE, 2**64 - 1, 5)],
+)
+def test_block_is_stream_and_block_index_counter(seed, domain, stream, block):
+    # counter words (stream + 1, block, 0, 0): the generator steps the counter before a block
+    words = raw_words(seed, domain, stream, 1, block + 1)[0, 4 * block :]
+    philox = np.random.Philox(key=seed + domain * 2**64, counter=stream + block * 2**64)
+    assert np.array_equal(words, philox.random_raw(4))
+
+
+@pytest.mark.parametrize("p, q", [(1, 2), (4, 5), (3, 23), (8, 9), (19, 23), (22, 23)])
+def test_shorter_stream_is_prefix_of_longer(p, q):
+    # a trial's normal for bond b is the same at every chain length
+    assert np.array_equal(normals(13, NOISE, 5, 40, p), normals(13, NOISE, 5, 40, q)[:, :p])
+    assert np.array_equal(raw_words(13, NOISE, 5, 40, 1), raw_words(13, NOISE, 5, 40, 6)[:, :4])
 
 
 @pytest.mark.parametrize("per_stream", [1, 3, 4, 5, 19, 23])
