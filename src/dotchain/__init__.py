@@ -36,6 +36,8 @@ from .pulse import (
     DetuningPulse,
     accumulated_phase,
     check_adiabaticity,
+    local_phase,
+    local_phase_sensitivity,
     plateau_coupling,
     solve_hold_time,
 )
@@ -77,6 +79,8 @@ __all__ = [
     "ideal_cluster_fidelity",
     "init_plus_chain",
     "ising_coupling",
+    "local_phase",
+    "local_phase_sensitivity",
     "measure",
     "monte_carlo_fidelities",
     "monte_carlo_fidelity",

@@ -13,18 +13,32 @@ Pushing the detuning of two adjacent molecules at once would switch their
 bond back on, so a measurement round never contains nearest neighbors;
 schedule_rounds makes violating that unrepresentable.
 
-One kernel applies every projector P to qubit q: with the amplitudes viewed
-as (2**q, 2, 2**(n-q-1)), output half j is psi[:, 0]*P[j, 0] + psi[:, 1]*P[j, 1].
-One helper builds P = (I + o*M(axis))/2 as that column pair; the pairs of
-the three named axes and both outcomes are built once, at import, and any
-other axis is built per use by the same helper. One check, _unit_axis,
-validates every axis, for MeasurementSpec and run_schedule alike: text is
-refused, the components become floats, an axis equal to a named one needs
-no further check, and any other must be a finite unit 3-vector. It reads
-the axis once, so an iterator is accepted by both. run_schedule resolves
-every scheduled qubit's axis before it draws, and a missing axis is
-refused. It then draws all its uniforms in one call and carries one
-post-state from measurement to measurement. measure, project and
+One kernel applies every projector P to qubit q, with the amplitudes viewed
+as psi of shape (2**q, 2, 2**(n-q-1)). For a named axis it writes output
+half j as psi_j*P[j, j] + psi_{1-j}*P[j, 1-j] over contiguous arrays:
+psi_{1-j} is one copy of psi[:, ::-1], the flipped view, so no index table
+is needed. On x both coefficients are scalars; on y the off-diagonal one
+changes sign on the bit-1 half; on z, where P is diagonal, the branch is
+the amplitudes with one half set to 0. Any other axis takes the broadcast
+formula psi[:, 0]*P[j, 0] + psi[:, 1]*P[j, 1]. Every branch leaves no
+-0.0 component, as a sum accumulated from zero would not, so all give the
+broadcast formula's bytes. One helper builds P = (I + o*M(axis))/2 in the
+forms the kernel reads; the projectors of the three named axes and both
+outcomes are built once, at import, and any other axis is built per use by
+the same helper.
+
+One check, _unit_axis, validates every axis, for MeasurementSpec and
+run_schedule alike: text is refused, the components become floats, an axis
+equal to a named one needs no further check, and any other must be a
+finite unit 3-vector. It reads the axis once, so an iterator is accepted
+by both. A qubit index is an int, or a numpy integer converted to one:
+bool, float and text are refused with TypeError by MeasurementSpec,
+MeasurementRecord and RoundSchedule, so a schedule holds ints before
+anything is drawn. run_schedule resolves every scheduled qubit's axis
+before it draws, and a missing axis is refused. It then draws all its
+uniforms in one call and carries one post-state from measurement to
+measurement, scaled by 1/sqrt(p); measure and project divide by sqrt(p),
+which differs only in the sign of an exact zero. measure, project and
 run_schedule share the kernel and the projector lookup, and measure and
 run_schedule share one sampler, which never samples an outcome of
 probability 0. Each public call checks its input state once (post-states
@@ -41,7 +55,9 @@ current post-state, so at most one post-state outlives a step.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,6 +94,17 @@ def _unit_axis(basis) -> tuple[float, ...]:
     return axis
 
 
+def _qubit_index(qubit) -> int:
+    """A qubit index as an int: Python and numpy integers pass operator.index.
+
+    bool is refused with TypeError although it is an int, as are float and
+    text, which operator.index refuses itself.
+    """
+    if isinstance(qubit, bool):
+        raise TypeError(f"qubit index must be an integer, got {qubit!r}")
+    return operator.index(qubit)
+
+
 @dataclass(frozen=True)
 class MeasurementSpec:
     """Measurement of one qubit along a unit Bloch axis (triplet at +z)."""
@@ -86,6 +113,7 @@ class MeasurementSpec:
     basis: tuple[float, float, float]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "qubit", _qubit_index(self.qubit))
         object.__setattr__(self, "basis", _unit_axis(self.basis))
         if self.qubit < 0:
             raise ValueError(f"qubit index must be >= 0, got {self.qubit}")
@@ -100,6 +128,7 @@ class MeasurementRecord:
     probability: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "qubit", _qubit_index(self.qubit))
         if self.outcome not in (-1, +1):
             raise ValueError(f"outcome must be +-1, got {self.outcome}")
         if not 0.0 <= self.probability <= 1.0 + 1e-12:
@@ -113,8 +142,10 @@ class RoundSchedule:
     rounds: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        rounds = tuple(tuple(_qubit_index(q) for q in rnd) for rnd in self.rounds)
+        object.__setattr__(self, "rounds", rounds)
         seen = set()
-        for rnd in self.rounds:
+        for rnd in rounds:
             for q in rnd:
                 if q < 0:
                     raise ValueError(f"qubit index must be >= 0, got {q}")
@@ -131,29 +162,46 @@ class RoundSchedule:
         return tuple(q for rnd in self.rounds for q in rnd)
 
 
-def _projector_columns(axis, outcome: int) -> tuple[np.ndarray, np.ndarray]:
-    """Columns P[:, :1] and P[:, 1:] of P = (I + outcome * M(axis)) / 2."""
+class _Projector(NamedTuple):
+    """P = (I + o*M(axis))/2 in the forms the kernel reads.
+
+    columns are P[:, :1] and P[:, 1:]. name is "x", "y" or "z" for a named
+    axis and None for any other. For x and y, P[0, 0] = P[1, 1] = diagonal
+    and flip holds P[j, 1 - j]: one scalar when P[1, 0] = P[0, 1] (x), the
+    (2, 1) column [[P[0, 1]], [P[1, 0]]] otherwise (y).
+    """
+
+    columns: tuple[np.ndarray, np.ndarray]
+    name: str | None
+    outcome: int
+    diagonal: complex
+    flip: complex | np.ndarray
+
+
+def _build_projector(axis, outcome: int, name: str | None = None) -> _Projector:
+    """P = (I + outcome * M(axis)) / 2 for a validated axis."""
     nx, ny, nz = axis
     mat = outcome * np.array([[-nz, nx + 1j * ny], [nx - 1j * ny, nz]])
-    projector = (np.eye(2) + mat) / 2.0
-    return projector[:, :1], projector[:, 1:]
+    p = (np.eye(2) + mat) / 2.0
+    off = p[0, 1] if p[0, 1] == p[1, 0] else p[[0, 1], [1, 0]].reshape(2, 1)
+    return _Projector((p[:, :1], p[:, 1:]), name, outcome, p[0, 0], off)
 
 
 _NAMED_PROJECTORS = {
-    (axis, outcome): _projector_columns(axis, outcome)
-    for axis in NAMED_AXES.values()
+    (axis, outcome): _build_projector(axis, outcome, name)
+    for name, axis in NAMED_AXES.items()
     for outcome in (-1, +1)
 }
 
 
-def _projector(axis, outcome: int) -> tuple[np.ndarray, np.ndarray]:
-    """Column pair of P for a validated axis: from the table if the axis is named."""
-    columns = _NAMED_PROJECTORS.get((axis, outcome))
-    return columns if columns is not None else _projector_columns(axis, outcome)
+def _projector(axis, outcome: int) -> _Projector:
+    """P for a validated axis: from the table if the axis is named."""
+    projector = _NAMED_PROJECTORS.get((axis, outcome))
+    return projector if projector is not None else _build_projector(axis, outcome)
 
 
-def _scheduled_projector(bases, qubit: int) -> tuple[np.ndarray, np.ndarray]:
-    """P+ column pair of a scheduled qubit's axis, refusing a missing or invalid axis."""
+def _scheduled_projector(bases, qubit: int) -> _Projector:
+    """P+ of a scheduled qubit's axis, refusing a missing or invalid axis."""
     try:
         given = bases[qubit]
     except LookupError:
@@ -161,13 +209,23 @@ def _scheduled_projector(bases, qubit: int) -> tuple[np.ndarray, np.ndarray]:
     return _projector(_unit_axis(given), +1)
 
 
-def _apply_on_qubit(amps: np.ndarray, columns, qubit: int, n: int) -> np.ndarray:
-    """The 2x2 P with the given columns applied to one qubit, axis 1 of the view below."""
+def _apply_on_qubit(amps: np.ndarray, projector: _Projector, qubit: int, n: int) -> np.ndarray:
+    """P applied to one qubit, axis 1 of the view psi below; no component is -0.0."""
     psi = amps.reshape(2**qubit, 2, 2 ** (n - qubit - 1))
-    # broadcast over j: out[:, j] = psi[:, 0]*P[j, 0] + psi[:, 1]*P[j, 1]
-    out = psi[:, :1] * columns[0] + psi[:, 1:] * columns[1]
+    if projector.name == "z":  # P is diag(0, 1) or diag(1, 0): one half of psi, the other 0
+        out = amps + 0.0  # -0.0 -> +0.0, as in a sum accumulated from zero
+        out.reshape(psi.shape)[:, (1 - projector.outcome) // 2] = 0.0
+        return out
+    if projector.name is None:
+        # broadcast over j: out[:, j] = psi[:, 0]*P[j, 0] + psi[:, 1]*P[j, 1]
+        left, right = projector.columns
+        out = (psi[:, :1] * left + psi[:, 1:] * right).reshape(-1)
+    else:
+        # x, y: out_j = psi_j*P[j, j] + psi_{1-j}*P[j, 1-j] over one flipped copy
+        out = amps * projector.diagonal
+        out += (psi[:, ::-1] * projector.flip).reshape(-1)
     out += 0.0  # -0.0 -> +0.0, as in a sum accumulated from zero
-    return out.reshape(-1)
+    return out
 
 
 def _check(state: ChainState, qubits) -> None:
@@ -201,20 +259,21 @@ def project(
 
 
 def _sample(
-    n: int, amps: np.ndarray, qubit: int, plus_columns, u: float
-) -> tuple[MeasurementRecord, ChainState]:
-    """Record and post-state; -1 when u reaches p+ and p- > 0. amps is not re-checked.
+    amps: np.ndarray, qubit: int, n: int, plus: _Projector, u: float
+) -> tuple[int, np.ndarray, float]:
+    """Outcome, unnormalized branch and its probability; -1 when u reaches p+ and p- > 0.
 
-    A state normalized only to NORM_ATOL can leave p- = 0 with p+ below 1.
+    amps is not re-checked. A state normalized only to NORM_ATOL can leave
+    p- = 0 with p+ below 1.
     """
-    plus = _apply_on_qubit(amps, plus_columns, qubit, n)
-    outcome, branch, prob = +1, plus, _probability(plus)
+    branch = _apply_on_qubit(amps, plus, qubit, n)
+    outcome, prob = +1, _probability(branch)
     if u >= prob:
-        minus = amps - plus
+        minus = amps - branch
         p_minus = _probability(minus)
         if p_minus > 0.0:
             outcome, branch, prob = -1, minus, p_minus
-    return MeasurementRecord(qubit, outcome, prob), ChainState(n, branch / math.sqrt(prob))
+    return outcome, branch, prob
 
 
 def measure(
@@ -232,7 +291,9 @@ def measure(
     """
     _check(state, (spec.qubit,))
     u = uniforms(seed, MEASUREMENT, stream, 1)[0, 0]
-    return _sample(state.n_qubits, state.amplitudes, spec.qubit, _projector(spec.basis, +1), u)
+    n, plus = state.n_qubits, _projector(spec.basis, +1)
+    outcome, branch, prob = _sample(state.amplitudes, spec.qubit, n, plus, u)
+    return MeasurementRecord(spec.qubit, outcome, prob), ChainState(n, branch / math.sqrt(prob))
 
 
 def schedule_rounds(requested) -> RoundSchedule:
@@ -242,7 +303,7 @@ def schedule_rounds(requested) -> RoundSchedule:
     parity 2-coloring (evens, then odds), which is optimal on a path.
     Deterministic: rounds are sorted ascending.
     """
-    qubits = list(requested)
+    qubits = [_qubit_index(q) for q in requested]
     if len(set(qubits)) != len(qubits):
         raise ValueError("requested qubit indices must be distinct")
     ordered = sorted(qubits)
@@ -266,15 +327,21 @@ def run_schedule(
     stream t of the seed: one draw of k streams serves all k measurements.
     Only the input state is checked; each later measurement samples the
     post-state of the one before it, which this call built and ChainState
-    validated. Only that one post-state is kept; the records hold none.
+    validated, scaled in place by 1/sqrt(p). Only that one post-state is
+    kept; the records hold none.
     """
     order = [q for rnd in schedule.rounds for q in sorted(rnd)]
     _check(state, order)
     projectors = [_scheduled_projector(bases, q) for q in order]
     draws = uniforms(seed, MEASUREMENT, 0, len(order))[:, 0] if order else ()
+    n = state.n_qubits
     records: list[MeasurementRecord] = []
     current = state
-    for q, plus_columns, u in zip(order, projectors, draws):
-        record, current = _sample(state.n_qubits, current.amplitudes, q, plus_columns, u)
-        records.append(record)
+    for q, plus, u in zip(order, projectors, draws):
+        outcome, branch, prob = _sample(current.amplitudes, q, n, plus, u)
+        records.append(MeasurementRecord(q, outcome, prob))
+        # in place, and equal to branch / sqrt(prob) up to the sign of an
+        # exact zero, which no probability sees; it never leaves the call
+        branch *= 1.0 / math.sqrt(prob)
+        current = ChainState(n, branch)
     return records

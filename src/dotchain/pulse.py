@@ -13,6 +13,11 @@ dF/deps for F(eps) = (eps + d) / 2. A linear ramp therefore contributes
 J_max * [F(eps_high) - F(eps_low)] per meV of sweep, J_max being the
 theta = pi/2 coupling, and the hold adds its constant plateau coupling. The
 phase is affine in the hold time, so calibration is one division.
+
+The same sweep gives each qubit its own phase: its singlet sits F below
+T(1,1), so |0> gains Theta = integral F dt / hbar, with the elementary
+antiderivative eps^2/4 + (eps*d + a^2*asinh(eps/a))/4, a = 2 tc, over a
+ramp. An offset of the detuning moves Theta by integral sin^2 theta dt / hbar.
 """
 
 from __future__ import annotations
@@ -22,7 +27,14 @@ import warnings
 from dataclasses import dataclass
 
 from .constants import HBAR_MEV_NS
-from .physics import HALF_PI, DeviceParams, _eps_plus_d, adiabatic_angle, ising_coupling
+from .physics import (
+    HALF_PI,
+    DeviceParams,
+    _eps_plus_d,
+    adiabatic_angle,
+    ising_coupling,
+    singlet_admixture,
+)
 
 
 class CalibrationError(ValueError):
@@ -118,6 +130,46 @@ def accumulated_phase(pulse: DetuningPulse, dev: DeviceParams) -> float:
     hold_mev_ns = pulse.hold_ns * plateau_coupling(pulse, dev)
     ramp_mev2_ns = (pulse.ramp_ns + pulse.ramp_ns) * _ramp_coupling_integral_mev2(pulse, dev)
     return (hold_mev_ns + ramp_mev2_ns / (pulse.eps_high_mev - pulse.eps_low_mev)) / HBAR_MEV_NS
+
+
+def _local_phase_antiderivative(eps_mev: float, tc: float) -> float:
+    """G(eps) with G' = F = (eps + d) / 2: eps^2/4 + (eps*d + a^2*asinh(eps/a))/4, a = 2 tc.
+
+    Written as (eps*(eps + d) + a^2*asinh(eps/a)) / 4, with eps + d free of
+    cancellation at eps < 0.
+    """
+    a = 2.0 * tc
+    return (eps_mev * _eps_plus_d(eps_mev, tc) + a * a * math.asinh(eps_mev / a)) / 4.0
+
+
+def local_phase(pulse: DetuningPulse, dev: DeviceParams) -> float:
+    """Phase (radians) each qubit's |0> gains over the pulse: Theta = integral F dt / hbar.
+
+    On the adiabatic branch the singlet sits F(eps) = (eps + d) / 2 below
+    T(1,1), d = sqrt(eps^2 + 4 tc^2). Each linear ramp contributes
+    ramp_ns * [G(eps_high) - G(eps_low)] / (eps_high - eps_low) for the
+    antiderivative G of F, and the hold F(eps_high) * hold_ns. No routine
+    applies this single-qubit frame yet.
+    """
+    tc = dev.tunnel_coupling_mev
+    lo, hi = pulse.eps_low_mev, pulse.eps_high_mev
+    ramp = _local_phase_antiderivative(hi, tc) - _local_phase_antiderivative(lo, tc)
+    hold_mev_ns = pulse.hold_ns * _eps_plus_d(hi, tc) / 2.0
+    return (hold_mev_ns + (pulse.ramp_ns + pulse.ramp_ns) * ramp / (hi - lo)) / HBAR_MEV_NS
+
+
+def local_phase_sensitivity(pulse: DetuningPulse, dev: DeviceParams) -> float:
+    """dTheta/deps (rad/meV) for one offset of the whole detuning: integral sin^2 theta dt / hbar.
+
+    sin^2 theta = dF/deps, so each ramp contributes
+    ramp_ns * [F(eps_high) - F(eps_low)] / (eps_high - eps_low) and the
+    hold sin^2 theta(eps_high) * hold_ns.
+    """
+    tc = dev.tunnel_coupling_mev
+    lo, hi = pulse.eps_low_mev, pulse.eps_high_mev
+    ramp = (_eps_plus_d(hi, tc) - _eps_plus_d(lo, tc)) / 2.0
+    hold_ns = pulse.hold_ns * singlet_admixture(adiabatic_angle(hi, tc))
+    return (hold_ns + (pulse.ramp_ns + pulse.ramp_ns) * ramp / (hi - lo)) / HBAR_MEV_NS
 
 
 def solve_hold_time(

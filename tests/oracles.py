@@ -71,6 +71,35 @@ def trapezoid_phase(
     return float(_trapezoid(integrand, t) / HBAR_MEV_NS)
 
 
+def trapezoid_local_phase(
+    ramp_ns: float,
+    hold_ns: float,
+    eps_low_mev: float,
+    eps_high_mev: float,
+    tc: float,
+    steps: int,
+) -> tuple[float, float]:
+    """Local phase and its detuning slope (rad, rad/meV) from fixed-step trapezoids.
+
+    Integrates F = (eps + d) / 2 and sin^2 theta over the whole symmetric
+    pulse, d = sqrt(eps^2 + 4 tc^2).
+    """
+    duration = ramp_ns + hold_ns + ramp_ns
+    t = np.linspace(0.0, duration, steps + 1)
+    eps = np.interp(
+        t,
+        [0.0, ramp_ns, ramp_ns + hold_ns, duration],
+        [eps_low_mev, eps_high_mev, eps_high_mev, eps_low_mev],
+    )
+    d = np.hypot(2.0 * tc, eps)
+    num = np.where(eps >= 0.0, eps + d, 4.0 * tc * tc / (d - eps))  # eps + d
+    sin2 = np.sin(np.arctan(num / (2.0 * tc))) ** 2
+    return (
+        float(_trapezoid(num / 2.0, t) / HBAR_MEV_NS),
+        float(_trapezoid(sin2, t) / HBAR_MEV_NS),
+    )
+
+
 def kron_chain(n: int, site_ops: dict[int, np.ndarray]) -> np.ndarray:
     """Dense operator acting with site_ops[k] on qubit k (identity elsewhere)."""
     out = np.array([[1.0]], dtype=complex)
@@ -269,7 +298,7 @@ def _check(state: ChainState, qubits) -> None:
         raise ValueError("state is not normalized")
 
 
-def _branch(state: ChainState, spec: MeasurementSpec, outcome: int) -> np.ndarray:
+def projected_branch(state: ChainState, spec: MeasurementSpec, outcome: int) -> np.ndarray:
     """Unnormalized P psi of a checked state, P = (I + outcome * M(axis)) / 2."""
     nx, ny, nz = spec.basis
     mat = outcome * np.array([[-nz, nx + 1j * ny], [nx - 1j * ny, nz]])
@@ -290,7 +319,7 @@ def spec_loop_project(
     if outcome not in (-1, +1):
         raise ValueError(f"outcome must be +-1, got {outcome}")
     _check(state, (spec.qubit,))
-    branch = _branch(state, spec, outcome)
+    branch = projected_branch(state, spec, outcome)
     prob = _probability(branch)
     return prob, _collapse(state.n_qubits, branch, prob)
 
@@ -299,7 +328,7 @@ def _sample(
     state: ChainState, spec: MeasurementSpec, u: float
 ) -> tuple[MeasurementRecord, ChainState | None]:
     """Outcome +1 when the uniform u falls below p+; the state is not re-checked."""
-    plus = _branch(state, spec, +1)
+    plus = projected_branch(state, spec, +1)
     p_plus = _probability(plus)
     if u < p_plus:
         outcome, branch, prob = +1, plus, p_plus

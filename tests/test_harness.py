@@ -283,6 +283,18 @@ def test_manifest_rerun_reproduces_bytes(tmp_path):
     assert first["fidelity"].read_bytes() == second["fidelity"].read_bytes()
 
 
+def test_cli_prepare_prints_local_phase(tmp_path):
+    # one stdout line carries the qubits' own phase and its detuning slope;
+    # it is printed only, and the files match those run_prepare writes
+    result = CliRunner().invoke(main, ["prepare", "--out", str(tmp_path / "cli")])
+    assert result.exit_code == 0, result.output
+    lines = result.output.splitlines()
+    assert lines[1] == "local_phase=12279.5408 rad dlocal_phase/deps=5.67102 rad/ueV"
+    run_prepare(config_from_strings({}), tmp_path / "lib")
+    for name in ("prepare_report.json", "stabilizers.csv", "run_manifest.json"):
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+
+
 def test_cli_prepare_exit_codes(tmp_path, dev):
     runner = CliRunner()
     ok = runner.invoke(main, ["prepare", "--qubits", "4", "--out", str(tmp_path / "ok")])

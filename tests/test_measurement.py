@@ -22,7 +22,7 @@ from dotchain import (
 from dotchain import measurement
 from dotchain.config import config_from_strings
 from dotchain.harness import prepare_chain
-from dotchain.measurement import NAMED_AXES, X_AXIS, Z_AXIS
+from dotchain.measurement import NAMED_AXES, X_AXIS, Y_AXIS, Z_AXIS
 from dotchain.rng import MEASUREMENT, uniforms
 
 from conftest import random_state
@@ -32,6 +32,7 @@ from oracles import (
     PAULI_Z,
     ideal_cluster,
     kron_chain,
+    projected_branch,
     spec_loop_measure,
     spec_loop_project,
     spec_loop_run_schedule,
@@ -61,6 +62,48 @@ def test_record_validation():
         MeasurementRecord(qubit=0, outcome=2, probability=0.5)
     with pytest.raises(ValueError):
         MeasurementRecord(qubit=0, outcome=1, probability=1.5)
+
+
+def _assert_qubit_index_refused(monkeypatch, qubit):
+    # refused with TypeError by every record that holds a qubit index, and
+    # by a schedule before run_schedule could draw anything
+    draws = []
+    monkeypatch.setattr(measurement, "uniforms", lambda *args: draws.append(args))
+    with pytest.raises(TypeError, match="integer"):
+        MeasurementSpec(qubit=qubit, basis=Z_AXIS)
+    with pytest.raises(TypeError, match="integer"):
+        MeasurementRecord(qubit=qubit, outcome=1, probability=0.5)
+    with pytest.raises(TypeError, match="integer"):
+        RoundSchedule(rounds=((0, qubit),))
+    with pytest.raises(TypeError, match="integer"):
+        run_schedule(ideal_cluster(3), schedule_rounds([0, qubit]), {0: Z_AXIS, 2: Z_AXIS}, 0)
+    assert draws == []
+
+
+def test_bool_qubit_index_is_refused(monkeypatch):
+    # bool is an int, and operator.index(True) is 1
+    _assert_qubit_index_refused(monkeypatch, True)
+    _assert_qubit_index_refused(monkeypatch, np.True_)
+
+
+def test_float_qubit_index_is_refused(monkeypatch):
+    _assert_qubit_index_refused(monkeypatch, 2.0)
+    _assert_qubit_index_refused(monkeypatch, np.float64(2.0))
+
+
+def test_text_qubit_index_is_refused(monkeypatch):
+    _assert_qubit_index_refused(monkeypatch, "2")
+
+
+def test_numpy_integer_qubit_index_becomes_int():
+    for qubit in (np.int64(2), np.uint8(2), np.intp(2)):
+        assert type(MeasurementSpec(qubit=qubit, basis=Z_AXIS).qubit) is int
+        assert type(MeasurementRecord(qubit=qubit, outcome=1, probability=0.5).qubit) is int
+        assert RoundSchedule(rounds=((0, qubit),)).rounds == ((0, 2),)
+        schedule = schedule_rounds([np.int64(0), qubit])
+        assert all(type(q) is int for q in schedule.qubits)
+        records = run_schedule(ideal_cluster(3), schedule, {0: Z_AXIS, 2: Z_AXIS}, 0)
+        assert records == run_schedule(ideal_cluster(3), schedule_rounds([0, 2]), {0: Z_AXIS, 2: Z_AXIS}, 0)
 
 
 def test_z_measurement_of_singlet_state():
@@ -353,6 +396,76 @@ def test_measurement_bytes_match_spec_loop_oracle(n, seed, cluster, kinds, data)
             assert (post is None) == (post_want is None)
             if post is not None:
                 assert post.amplitudes.tobytes() == post_want.amplitudes.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kind=st.sampled_from(AXIS_KINDS),
+    zeros=st.sampled_from((0.0, 0.1, 0.5)),
+)
+def test_kernel_matches_broadcast_oracle_bit_for_bit(n, seed, kind, zeros):
+    # every branch of the kernel (flipped copy on x and y, zeroed half on z,
+    # broadcast on any other axis) gives the broadcast formula's bytes, at
+    # every qubit and for both outcomes, on states with exact zeros and
+    # -0.0 components, and leaves its input untouched
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    for part in (amps.real, amps.imag):
+        part[rng.random(2**n) < zeros] = 0.0
+        part[rng.random(2**n) < zeros] = -0.0
+    if not np.any(amps):
+        amps[0] = 1.0
+    state = ChainState(n, amps / np.linalg.norm(amps))
+    before = state.amplitudes.tobytes()
+    axis = _axis_of_kind(kind, rng)
+    for q in range(n):
+        spec = MeasurementSpec(q, axis)
+        for outcome in (-1, +1):
+            projector = measurement._projector(spec.basis, outcome)
+            got = measurement._apply_on_qubit(state.amplitudes, projector, q, n)
+            assert got.tobytes() == projected_branch(state, spec, outcome).tobytes()
+    assert state.amplitudes.tobytes() == before
+
+
+NUMPY_TRACE_DOMAIN = 389047  # the tracemalloc domain of numpy's array buffers
+
+
+def _array_bytes(snapshot) -> int:
+    return sum(trace.size for trace in snapshot.traces if trace.domain == NUMPY_TRACE_DOMAIN)
+
+
+def test_measurement_calls_leave_nothing_allocated():
+    # after run_schedule, measure and project return and their results are
+    # dropped, no array buffer of theirs is left behind: no cache or table
+    # grows with the number of calls. (Python's own free lists keep some
+    # small objects, so only array buffers are counted.)
+    n = 16
+    state, _ = prepare_chain(config_from_strings({"n_qubits": str(n)}))
+    schedule = schedule_rounds(range(n))
+    axes = (X_AXIS, Y_AXIS, Z_AXIS, (0.6, 0.0, 0.8))
+    bases = {q: axes[q % len(axes)] for q in range(n)}
+    specs = [MeasurementSpec(n // 2, axis) for axis in axes]
+
+    def calls(seeds):
+        for seed in seeds:
+            run_schedule(state, schedule, bases, seed)
+            for spec in specs:
+                measure(state, spec, seed)
+                project(state, spec, -1)
+
+    calls(range(1))  # the rng's generator is set up once
+    tracemalloc.start()
+    try:
+        before = _array_bytes(tracemalloc.take_snapshot())
+        calls(range(1, 4))
+        after = _array_bytes(tracemalloc.take_snapshot())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after == before
+    assert peak >= state.amplitudes.nbytes  # the calls were traced
 
 
 def test_run_schedule_refuses_missing_axis_before_measuring(monkeypatch):

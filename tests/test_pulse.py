@@ -14,12 +14,14 @@ from dotchain import (
     adiabatic_angle,
     check_adiabaticity,
     ising_coupling,
+    local_phase,
+    local_phase_sensitivity,
     plateau_coupling,
     solve_hold_time,
 )
 from dotchain.pulse import detuning_window
 
-from oracles import trapezoid_phase
+from oracles import trapezoid_local_phase, trapezoid_phase
 
 
 def default_pulse(dev, hold=2.0):
@@ -231,3 +233,52 @@ def test_adiabaticity_warnings(dev):
     with pytest.warns(UserWarning):
         assert check_adiabaticity(quiet, dev, coherence_budget_ns=2.0)
     assert check_adiabaticity(quiet, dev, coherence_budget_ns=10.0) == []
+
+
+def test_local_phase_matches_trapezoid_oracle(dev):
+    # Theta and dTheta/deps against fixed-step trapezoids; the oracle's own
+    # error, bounded by the change from N to 2N steps (its error is about a
+    # third of that change), is kept below a tenth of the tolerance
+    tc = dev.tunnel_coupling_mev
+    rng = np.random.default_rng(20261020)
+    pulses = [DetuningPulse(0.8, 0.0, -1.0, 3.0)]
+    for _ in range(3):
+        ramp = float(rng.uniform(0.05, 2.0))
+        hold = float(rng.uniform(0.0, 3.0))
+        lo = float(rng.uniform(-3.0, -0.5))
+        hi = float(rng.uniform(0.5, 3.0))
+        pulses.append(DetuningPulse(ramp_ns=ramp, hold_ns=hold, eps_low_mev=lo, eps_high_mev=hi))
+    for pulse in pulses:
+        args = (pulse.ramp_ns, pulse.hold_ns, pulse.eps_low_mev, pulse.eps_high_mev, tc)
+        coarse = trapezoid_local_phase(*args, steps=200_000)
+        fine = trapezoid_local_phase(*args, steps=400_000)
+        for got, n_steps, two_n_steps in zip(
+            (local_phase(pulse, dev), local_phase_sensitivity(pulse, dev)), coarse, fine
+        ):
+            assert abs(n_steps - two_n_steps) <= 1e-7 * abs(two_n_steps)
+            assert got == pytest.approx(two_n_steps, rel=1e-6)
+
+
+def test_local_phase_default_pulse_baseline(dev):
+    # the default pulse (tau1 = 1 ns, hold calibrated to a pi bond phase):
+    # Theta = 1.228e4 rad, moved by 5.67 rad per ueV of detuning offset
+    tau1 = 1.0
+    pulse = DetuningPulse(tau1, solve_hold_time(tau1, dev), *detuning_window(dev))
+    assert local_phase(pulse, dev) == pytest.approx(12279.54, abs=0.005)
+    assert local_phase_sensitivity(pulse, dev) / 1e3 == pytest.approx(5.6710, abs=5e-5)
+
+
+def test_local_phase_is_affine_in_hold(dev):
+    # the hold adds F(eps_high) / hbar and sin^2 theta(eps_high) / hbar per
+    # ns, and a rectangular pulse is all hold
+    tc = dev.tunnel_coupling_mev
+    rate = (2.5 + math.hypot(2.5, 2.0 * tc)) / 2.0 / HBAR_MEV_NS
+    slope = math.sin(adiabatic_angle(2.5, tc)) ** 2 / HBAR_MEV_NS
+    ramps = DetuningPulse(1.0, 0.0, -2.5, 2.5)
+    held = DetuningPulse(1.0, 2.0, -2.5, 2.5)
+    rectangular = DetuningPulse(0.0, 2.0, -2.5, 2.5)
+    assert local_phase(held, dev) - local_phase(ramps, dev) == pytest.approx(2.0 * rate, rel=1e-12)
+    assert local_phase(rectangular, dev) == pytest.approx(2.0 * rate, rel=1e-15)
+    gained = local_phase_sensitivity(held, dev) - local_phase_sensitivity(ramps, dev)
+    assert gained == pytest.approx(2.0 * slope, rel=1e-12)
+    assert local_phase_sensitivity(rectangular, dev) == pytest.approx(2.0 * slope, rel=1e-15)
