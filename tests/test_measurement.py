@@ -102,8 +102,9 @@ def test_numpy_integer_qubit_index_becomes_int():
         assert RoundSchedule(rounds=((0, qubit),)).rounds == ((0, 2),)
         schedule = schedule_rounds([np.int64(0), qubit])
         assert all(type(q) is int for q in schedule.qubits)
-        records = run_schedule(ideal_cluster(3), schedule, {0: Z_AXIS, 2: Z_AXIS}, 0)
-        assert records == run_schedule(ideal_cluster(3), schedule_rounds([0, 2]), {0: Z_AXIS, 2: Z_AXIS}, 0)
+        bases = {0: Z_AXIS, 2: Z_AXIS}
+        records = run_schedule(ideal_cluster(3), schedule, bases, 0)
+        assert records == run_schedule(ideal_cluster(3), schedule_rounds([0, 2]), bases, 0)
 
 
 def test_z_measurement_of_singlet_state():
