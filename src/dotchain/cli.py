@@ -13,7 +13,7 @@ import click
 
 from .config import config_from_strings, load_config_file
 from .harness import run_figure2, run_figure3, run_measure_demo, run_prepare
-from .pulse import DetuningPulse, local_phase, local_phase_sensitivity
+from .pulse import local_phase, local_phase_sensitivity
 
 _common = [
     # note: no exists=True — a missing file must exit 1 (validation failure),
@@ -33,12 +33,19 @@ def _with_common(func):
     return func
 
 
+def _prepare_with_local_phase(cfg, out_dir):
+    """run_prepare's report, the local phase of its pulse and dTheta/deps."""
+    report = run_prepare(cfg, out_dir)
+    pulse = cfg.build_pulse()
+    return report, local_phase(pulse, cfg.device), local_phase_sensitivity(pulse, cfg.device)
+
+
 # Config keys whose override flag a command has no use for. Passing one is
 # refused, so a flag is never silently ignored.
 _UNUSED_FLAGS = {
     run_figure2: ("seed", "trials", "n_qubits", "sigma_over_pi"),
     run_figure3: ("n_qubits",),
-    run_prepare: ("seed", "trials", "sigma_over_pi"),
+    _prepare_with_local_phase: ("seed", "trials", "sigma_over_pi"),
     run_measure_demo: ("trials", "sigma_over_pi"),
 }
 
@@ -50,8 +57,6 @@ def main():
 
 def _run(command, config_path, out_dir, **overrides):
     """Load the config, apply the override flags and run one harness command.
-
-    Returns the config and the command's result.
 
     Every failure to carry out a request exits 1 with its message.
     ConfigError and CalibrationError are ValueErrors, and so are the checks
@@ -66,8 +71,7 @@ def _run(command, config_path, out_dir, **overrides):
     try:
         raw = load_config_file(config_path) if config_path else {}
         raw.update({key: str(value) for key, value in overrides.items() if value is not None})
-        cfg = config_from_strings(raw)
-        return cfg, command(cfg, out_dir)
+        return command(config_from_strings(raw), out_dir)
     except (ValueError, OSError) as exc:
         raise click.ClickException(str(exc)) from exc
 
@@ -81,32 +85,26 @@ def _echo_paths(paths) -> None:
 @_with_common
 def figure2(**options):
     """Coupling-vs-detuning sweep and calibrated pulse waveform CSVs."""
-    _, paths = _run(run_figure2, **options)
-    _echo_paths(paths)
+    _echo_paths(_run(run_figure2, **options))
 
 
 @main.command()
 @_with_common
 def figure3(**options):
     """Fidelity grids over chain length and noise level."""
-    _, paths = _run(run_figure3, **options)
-    _echo_paths(paths)
+    _echo_paths(_run(run_figure3, **options))
 
 
 @main.command()
 @_with_common
 def prepare(**options):
     """Prepare the cluster state and verify fidelity and stabilizers."""
-    cfg, report = _run(run_prepare, **options)
+    report, phase, sensitivity = _run(_prepare_with_local_phase, **options)
     click.echo(
         f"n={report.n_qubits} hold={report.hold_ns:.6g} ns "
         f"bond_phase={report.bond_phase_rad:.9g} rad"
     )
-    pulse = DetuningPulse(report.ramp_ns, report.hold_ns, *cfg.resolved_eps())
-    click.echo(
-        f"local_phase={local_phase(pulse, cfg.device):.9g} rad "
-        f"dlocal_phase/deps={local_phase_sensitivity(pulse, cfg.device) / 1e3:.6g} rad/ueV"
-    )
+    click.echo(f"local_phase={phase:.9g} rad dlocal_phase/deps={sensitivity / 1e3:.6g} rad/ueV")
     click.echo(f"fidelity_to_ideal={report.fidelity_to_ideal:.12g}")
     click.echo(f"min_stabilizer={min(report.stabilizers):.12g}")
     if not report.passed:
@@ -119,8 +117,7 @@ def prepare(**options):
 @_with_common
 def measure_demo(**options):
     """Prepare the cluster, then run the configured measurement pattern."""
-    _, paths = _run(run_measure_demo, **options)
-    _echo_paths(paths)
+    _echo_paths(_run(run_measure_demo, **options))
 
 
 if __name__ == "__main__":

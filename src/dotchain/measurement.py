@@ -14,18 +14,19 @@ bond back on, so a measurement round never contains nearest neighbors;
 schedule_rounds makes violating that unrepresentable.
 
 One kernel applies every projector P to qubit q, with the amplitudes viewed
-as psi of shape (2**q, 2, 2**(n-q-1)). For a named axis it writes output
-half j as psi_j*P[j, j] + psi_{1-j}*P[j, 1-j] over contiguous arrays:
-psi_{1-j} is one copy of psi[:, ::-1], the flipped view, so no index table
-is needed. On x both coefficients are scalars; on y the off-diagonal one
-changes sign on the bit-1 half; on z, where P is diagonal, the branch is
-the amplitudes with one half set to 0. Any other axis takes the broadcast
-formula psi[:, 0]*P[j, 0] + psi[:, 1]*P[j, 1]. Every branch leaves no
--0.0 component, as a sum accumulated from zero would not, so all give the
-broadcast formula's bytes. One helper builds P = (I + o*M(axis))/2 in the
-forms the kernel reads; the projectors of the three named axes and both
-outcomes are built once, at import, and any other axis is built per use by
-the same helper.
+as psi of shape (2**q, 2, 2**(n-q-1)). It writes output half j as
+psi_j*P[j, j] + psi_{1-j}*P[j, 1-j] over contiguous arrays: psi_{1-j} is
+one copy of psi[:, ::-1], the flipped view, so no index table is needed.
+Each coefficient pair is one scalar when its two entries are equal (both
+on x, the diagonal on y) and a column over j otherwise (the off-diagonal on
+y, whose sign flips on the bit-1 half). When P is diag(0, 1) or diag(1, 0),
+as on z, the branch is the amplitudes with one half set to 0. No branch
+leaves a -0.0 component, as a sum accumulated from zero would not, and each
+gives the bytes of the broadcast formula psi[:, 0]*P[j, 0] +
+psi[:, 1]*P[j, 1]. One helper builds P = (I + o*M(axis))/2 in the forms the
+kernel reads; the projectors of the three named axes and both outcomes are
+built once, at import, and any other axis is built per use by the same
+helper.
 
 One check, _unit_axis, validates every axis, for MeasurementSpec and
 run_schedule alike: text is refused, the components become floats, an axis
@@ -165,31 +166,35 @@ class RoundSchedule:
 class _Projector(NamedTuple):
     """P = (I + o*M(axis))/2 in the forms the kernel reads.
 
-    columns are P[:, :1] and P[:, 1:]. name is "x", "y" or "z" for a named
-    axis and None for any other. For x and y, P[0, 0] = P[1, 1] = diagonal
-    and flip holds P[j, 1 - j]: one scalar when P[1, 0] = P[0, 1] (x), the
-    (2, 1) column [[P[0, 1]], [P[1, 0]]] otherwise (y).
+    diagonal holds P[j, j] and flip holds P[j, 1 - j], each one scalar when
+    its two entries are equal and the (2, 1) column over j otherwise.
+    zeroed is the half j with P[j, j] = 0 when P is diag(0, 1) or
+    diag(1, 0), as on z, and None otherwise.
     """
 
-    columns: tuple[np.ndarray, np.ndarray]
-    name: str | None
-    outcome: int
-    diagonal: complex
+    diagonal: complex | np.ndarray
     flip: complex | np.ndarray
+    zeroed: int | None
 
 
-def _build_projector(axis, outcome: int, name: str | None = None) -> _Projector:
+def _build_projector(axis, outcome: int) -> _Projector:
     """P = (I + outcome * M(axis)) / 2 for a validated axis."""
     nx, ny, nz = axis
     mat = outcome * np.array([[-nz, nx + 1j * ny], [nx - 1j * ny, nz]])
     p = (np.eye(2) + mat) / 2.0
-    off = p[0, 1] if p[0, 1] == p[1, 0] else p[[0, 1], [1, 0]].reshape(2, 1)
-    return _Projector((p[:, :1], p[:, 1:]), name, outcome, p[0, 0], off)
+
+    def pair(a, b):
+        return a if a == b else np.array([[a], [b]])
+
+    zeroed = None
+    if p[0, 1] == 0.0 and p[1, 0] == 0.0 and p[0, 0] * p[1, 1] == 0.0:
+        zeroed = 0 if p[0, 0] == 0.0 else 1  # the other entry is then exactly 1
+    return _Projector(pair(p[0, 0], p[1, 1]), pair(p[0, 1], p[1, 0]), zeroed)
 
 
 _NAMED_PROJECTORS = {
-    (axis, outcome): _build_projector(axis, outcome, name)
-    for name, axis in NAMED_AXES.items()
+    (axis, outcome): _build_projector(axis, outcome)
+    for axis in NAMED_AXES.values()
     for outcome in (-1, +1)
 }
 
@@ -212,18 +217,13 @@ def _scheduled_projector(bases, qubit: int) -> _Projector:
 def _apply_on_qubit(amps: np.ndarray, projector: _Projector, qubit: int, n: int) -> np.ndarray:
     """P applied to one qubit, axis 1 of the view psi below; no component is -0.0."""
     psi = amps.reshape(2**qubit, 2, 2 ** (n - qubit - 1))
-    if projector.name == "z":  # P is diag(0, 1) or diag(1, 0): one half of psi, the other 0
+    if projector.zeroed is not None:  # P is diag(0, 1) or diag(1, 0): one half of psi, the other 0
         out = amps + 0.0  # -0.0 -> +0.0, as in a sum accumulated from zero
-        out.reshape(psi.shape)[:, (1 - projector.outcome) // 2] = 0.0
+        out.reshape(psi.shape)[:, projector.zeroed] = 0.0
         return out
-    if projector.name is None:
-        # broadcast over j: out[:, j] = psi[:, 0]*P[j, 0] + psi[:, 1]*P[j, 1]
-        left, right = projector.columns
-        out = (psi[:, :1] * left + psi[:, 1:] * right).reshape(-1)
-    else:
-        # x, y: out_j = psi_j*P[j, j] + psi_{1-j}*P[j, 1-j] over one flipped copy
-        out = amps * projector.diagonal
-        out += (psi[:, ::-1] * projector.flip).reshape(-1)
+    # out_j = psi_j*P[j, j] + psi_{1-j}*P[j, 1-j] over one flipped copy
+    out = (psi * projector.diagonal).reshape(-1)
+    out += (psi[:, ::-1] * projector.flip).reshape(-1)
     out += 0.0  # -0.0 -> +0.0, as in a sum accumulated from zero
     return out
 

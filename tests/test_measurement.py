@@ -340,8 +340,11 @@ def _state_bytes(state):
 
 # Axes as a caller may pass them: named tuples, random unit axes, int-valued
 # and signed-zero spellings of named axes, and numpy arrays.
-AXIS_KINDS = ("named", "unit", "int", "negative_zero", "array_named", "array_unit")
+AXIS_KINDS = ("named", "unit", "int", "negative_zero", "diagonal", "array_named", "array_unit")
 SIGNED_ZERO_AXES = ((-0.0, 0.0, 1.0), (1.0, -0.0, -0.0), (-0.0, 1.0, 0.0), (0.0, -0.0, -1.0))
+# P is diagonal on these: a 0/1 projector on -z, not one just inside the
+# unit-norm tolerance
+DIAGONAL_AXES = ((0.0, 0.0, -1.0), (0.0, 0.0, 1.0 - 4e-11), (0.0, 0.0, -1.0 + 4e-11))
 
 
 def _axis_of_kind(kind, rng):
@@ -354,6 +357,8 @@ def _axis_of_kind(kind, rng):
         return tuple(int(c) for c in named)
     if kind == "negative_zero":
         return SIGNED_ZERO_AXES[int(rng.integers(0, len(SIGNED_ZERO_AXES)))]
+    if kind == "diagonal":
+        return DIAGONAL_AXES[int(rng.integers(0, len(DIAGONAL_AXES)))]
     if kind == "array_named":
         return np.array(named)
     return np.array(_random_axis(rng))
@@ -407,8 +412,8 @@ def test_measurement_bytes_match_spec_loop_oracle(n, seed, cluster, kinds, data)
     zeros=st.sampled_from((0.0, 0.1, 0.5)),
 )
 def test_kernel_matches_broadcast_oracle_bit_for_bit(n, seed, kind, zeros):
-    # every branch of the kernel (flipped copy on x and y, zeroed half on z,
-    # broadcast on any other axis) gives the broadcast formula's bytes, at
+    # both branches of the kernel (zeroed half on z and -z, flipped copy on
+    # every other axis) give the broadcast formula's bytes, at
     # every qubit and for both outcomes, on states with exact zeros and
     # -0.0 components, and leaves its input untouched
     rng = np.random.default_rng(seed)
