@@ -32,18 +32,25 @@ One check, _unit_axis, validates every axis, for MeasurementSpec and
 run_schedule alike: text is refused, the components become floats, an axis
 equal to a named one needs no further check, and any other must be a
 finite unit 3-vector. It reads the axis once, so an iterator is accepted
-by both. A qubit index is an int, or a numpy integer converted to one:
-bool, float and text are refused with TypeError by MeasurementSpec,
-MeasurementRecord and RoundSchedule, so a schedule holds ints before
-anything is drawn. run_schedule resolves every scheduled qubit's axis
-before it draws, and a missing axis is refused. It then draws all its
-uniforms in one call and carries one post-state from measurement to
+by both. run_schedule skips it only for the NAMED_AXES tuples themselves,
+recognised by identity, not by value, and validated at import; an equal
+value, such as (0j, 0j, 1 + 0j), still goes through it. A qubit index is
+an int, or a numpy integer converted to one: bool, float and text are
+refused with TypeError by MeasurementSpec, MeasurementRecord and
+RoundSchedule, so a schedule holds ints before anything is drawn.
+run_schedule resolves every scheduled qubit's axis before it draws, and a
+missing axis is refused. It then draws all its uniforms in one call and
+carries the raw amplitudes of one post-state from measurement to
 measurement, scaled by 1/sqrt(p); measure and project divide by sqrt(p),
 which differs only in the sign of an exact zero. measure, project and
 run_schedule share the kernel and the projector lookup, and measure and
 run_schedule share one sampler, which never samples an outcome of
-probability 0. Each public call checks its input state once (post-states
-built here were validated by ChainState).
+probability 0. Each public call checks its input state once. measure and
+project return their post-states as validated ChainStates; run_schedule
+builds none where p alone fixes the norm to 1: p > 0 comes from the
+branch's own norm, on a checked, finite input, and is neither clipped to 1
+nor near the subnormal range. Any other p has its scaled branch
+re-validated as a ChainState.
 
 A MeasurementRecord is the classical outcome of one measurement: qubit,
 outcome and probability, the record a one-way computation keeps
@@ -63,7 +70,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .rng import MEASUREMENT, uniforms
-from .state import NORM_ATOL, ChainState
+from .state import MAX_QUBITS, NORM_ATOL, ChainState
 
 X_AXIS = (1.0, 0.0, 0.0)
 Y_AXIS = (0.0, 1.0, 0.0)
@@ -205,13 +212,24 @@ def _projector(axis, outcome: int) -> _Projector:
     return projector if projector is not None else _build_projector(axis, outcome)
 
 
+# P+ of each named axis, keyed by the identity of its NAMED_AXES tuple, which
+# the table keeps alive, so no other live object can share its id. An equal
+# value is not looked up here: (0j, 0j, 1 + 0j) equals Z_AXIS and is refused.
+_NAMED_PLUS_BY_ID = {id(axis): _NAMED_PROJECTORS[axis, +1] for axis in NAMED_AXES.values()}
+
+
 def _scheduled_projector(bases, qubit: int) -> _Projector:
-    """P+ of a scheduled qubit's axis, refusing a missing or invalid axis."""
+    """P+ of a scheduled qubit's axis, refusing a missing or invalid axis.
+
+    A NAMED_AXES tuple itself, validated at import, takes its prebuilt P+;
+    any other value goes through _unit_axis.
+    """
     try:
         given = bases[qubit]
     except LookupError:
         raise ValueError(f"bases has no axis for scheduled qubit {qubit}") from None
-    return _projector(_unit_axis(given), +1)
+    projector = _NAMED_PLUS_BY_ID.get(id(given))
+    return projector if projector is not None else _projector(_unit_axis(given), +1)
 
 
 def _apply_on_qubit(amps: np.ndarray, projector: _Projector, qubit: int, n: int) -> np.ndarray:
@@ -235,6 +253,12 @@ def _check(state: ChainState, qubits) -> None:
             raise ValueError(f"qubit {q} out of range for {state.n_qubits} qubits")
     if not abs(state.norm() - 1.0) <= NORM_ATOL:  # a NaN norm fails too
         raise ValueError("state is not normalized")
+
+
+# From this p up, a norm summed over at most 2**MAX_QUBITS terms, each exact
+# to 2**-1074 in the subnormal range, is exact to 2**-80 relative; below it a
+# branch's p can be too inexact for 1/sqrt(p) to scale its norm to 1.
+_SCALED_NORM_EXACT_FROM = 2.0 ** (MAX_QUBITS - 1074 + 80)
 
 
 def _probability(branch: np.ndarray) -> float:
@@ -323,12 +347,20 @@ def run_schedule(
     the intra-round order cannot change any joint outcome probability (the
     tests check this by enumeration). bases maps qubit index to a Bloch
     axis; every scheduled qubit's axis is resolved, and a missing or invalid
-    one refused, before anything is drawn or measured. Measurement t uses
-    stream t of the seed: one draw of k streams serves all k measurements.
-    Only the input state is checked; each later measurement samples the
-    post-state of the one before it, which this call built and ChainState
-    validated, scaled in place by 1/sqrt(p). Only that one post-state is
-    kept; the records hold none.
+    one refused, before anything is drawn or measured (a NAMED_AXES tuple
+    itself, recognised by identity, is not validated again). Measurement t
+    uses stream t of the seed: one draw of k streams serves all k
+    measurements.
+
+    Only the input state is checked; each later measurement samples the raw
+    amplitudes of the one before it, the sampled branch scaled in place by
+    1/sqrt(p), with no ChainState in between. Their norm is 1 to rounding
+    because the input is checked and finite and p > 0 comes from the
+    branch's own norm, as _sample ensures, when p is below 1 (not clipped)
+    and at least _SCALED_NORM_EXACT_FROM (exact to rounding). For any other
+    p the scaled branch is validated as a ChainState, which refuses a norm
+    off 1 by more than NORM_ATOL. Only that one post-state is kept; the
+    records hold none.
     """
     order = [q for rnd in schedule.rounds for q in sorted(rnd)]
     _check(state, order)
@@ -336,12 +368,13 @@ def run_schedule(
     draws = uniforms(seed, MEASUREMENT, 0, len(order))[:, 0] if order else ()
     n = state.n_qubits
     records: list[MeasurementRecord] = []
-    current = state
+    amps = state.amplitudes
     for q, plus, u in zip(order, projectors, draws):
-        outcome, branch, prob = _sample(current.amplitudes, q, n, plus, u)
+        outcome, amps, prob = _sample(amps, q, n, plus, u)
         records.append(MeasurementRecord(q, outcome, prob))
         # in place, and equal to branch / sqrt(prob) up to the sign of an
         # exact zero, which no probability sees; it never leaves the call
-        branch *= 1.0 / math.sqrt(prob)
-        current = ChainState(n, branch)
+        amps *= 1.0 / math.sqrt(prob)
+        if not _SCALED_NORM_EXACT_FROM <= prob < 1.0:  # p may be clipped or inexact
+            ChainState(n, amps)
     return records

@@ -1,10 +1,10 @@
 """Independent brute-force oracles the implementation is checked against.
 
 Everything here deliberately avoids the code paths under test: the phase
-integral is a fixed-step trapezoid over inlined formulas, operators are
-kron-built dense matrices, the mean fidelity is a 4^n enumeration, and a
-Monte Carlo grid point is estimated alone, by drawing and contracting its
-own trials.
+integral is a fixed-step trapezoid over inlined formulas, one grid per
+pulse segment, operators are kron-built dense matrices, the mean fidelity
+is a 4^n enumeration, and a Monte Carlo grid point is estimated alone, by
+drawing and contracting its own trials.
 
 The dense verifiers of a chain live here, not in the package, which
 verifies a chain in O(n) from its bond phases: ideal_cluster builds the
@@ -41,6 +41,25 @@ P_ONE = np.diag([0.0, 1.0])
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
+def _pulse_segments(tau_up_ns, hold_ns, tau_down_ns, eps_low_mev, eps_high_mev, steps):
+    """(t, eps) grids of the non-empty segments: ramp up, hold, ramp down.
+
+    Each segment has its own grid, so every corner of the pulse is a node
+    and a rectangular pulse (no ramp) holds eps_high over its whole hold.
+    The steps are shared in proportion to each segment's length, at least
+    one each, so the step size is that of one grid over the whole pulse.
+    """
+    duration = tau_up_ns + hold_ns + tau_down_ns
+    for length, start, end in (
+        (tau_up_ns, eps_low_mev, eps_high_mev),
+        (hold_ns, eps_high_mev, eps_high_mev),
+        (tau_down_ns, eps_high_mev, eps_low_mev),
+    ):
+        if length > 0.0:
+            m = max(1, round(steps * length / duration))
+            yield np.linspace(0.0, length, m + 1), np.linspace(start, end, m + 1)
+
+
 def trapezoid_phase(
     tau_up_ns: float,
     hold_ns: float,
@@ -50,25 +69,21 @@ def trapezoid_phase(
     dev,
     steps: int = 10_000_000,
 ) -> float:
-    """Bond phase in radians from a fixed-step trapezoid over the whole pulse."""
+    """Bond phase in radians from fixed-step trapezoids over the pulse's segments."""
     a = dev.intradot_spacing_nm
     b = dev.intermolecule_spacing_nm
     tc = dev.tunnel_coupling_mev
     k = 1439.96 / dev.relative_permittivity
     bracket = k * (2.0 / b - 2.0 / math.hypot(a, b))
 
-    duration = tau_up_ns + hold_ns + tau_down_ns
-    t = np.linspace(0.0, duration, steps + 1)
-    eps = np.interp(
-        t,
-        [0.0, tau_up_ns, tau_up_ns + hold_ns, duration],
-        [eps_low_mev, eps_high_mev, eps_high_mev, eps_low_mev],
-    )
-    d = np.hypot(2.0 * tc, eps)
-    num = np.where(eps >= 0.0, eps + d, 4.0 * tc * tc / (d - eps))
-    theta = np.arctan(num / (2.0 * tc))
-    integrand = bracket * np.sin(theta) ** 2
-    return float(_trapezoid(integrand, t) / HBAR_MEV_NS)
+    total = 0.0
+    segments = _pulse_segments(tau_up_ns, hold_ns, tau_down_ns, eps_low_mev, eps_high_mev, steps)
+    for t, eps in segments:
+        d = np.hypot(2.0 * tc, eps)
+        num = np.where(eps >= 0.0, eps + d, 4.0 * tc * tc / (d - eps))
+        theta = np.arctan(num / (2.0 * tc))
+        total += float(_trapezoid(bracket * np.sin(theta) ** 2, t))
+    return total / HBAR_MEV_NS
 
 
 def trapezoid_local_phase(
@@ -81,23 +96,17 @@ def trapezoid_local_phase(
 ) -> tuple[float, float]:
     """Local phase and its detuning slope (rad, rad/meV) from fixed-step trapezoids.
 
-    Integrates F = (eps + d) / 2 and sin^2 theta over the whole symmetric
-    pulse, d = sqrt(eps^2 + 4 tc^2).
+    Integrates F = (eps + d) / 2 and sin^2 theta over each segment of the
+    symmetric pulse, d = sqrt(eps^2 + 4 tc^2).
     """
-    duration = ramp_ns + hold_ns + ramp_ns
-    t = np.linspace(0.0, duration, steps + 1)
-    eps = np.interp(
-        t,
-        [0.0, ramp_ns, ramp_ns + hold_ns, duration],
-        [eps_low_mev, eps_high_mev, eps_high_mev, eps_low_mev],
-    )
-    d = np.hypot(2.0 * tc, eps)
-    num = np.where(eps >= 0.0, eps + d, 4.0 * tc * tc / (d - eps))  # eps + d
-    sin2 = np.sin(np.arctan(num / (2.0 * tc))) ** 2
-    return (
-        float(_trapezoid(num / 2.0, t) / HBAR_MEV_NS),
-        float(_trapezoid(sin2, t) / HBAR_MEV_NS),
-    )
+    phase = slope = 0.0
+    for t, eps in _pulse_segments(ramp_ns, hold_ns, ramp_ns, eps_low_mev, eps_high_mev, steps):
+        d = np.hypot(2.0 * tc, eps)
+        num = np.where(eps >= 0.0, eps + d, 4.0 * tc * tc / (d - eps))  # eps + d
+        sin2 = np.sin(np.arctan(num / (2.0 * tc))) ** 2
+        phase += float(_trapezoid(num / 2.0, t))
+        slope += float(_trapezoid(sin2, t))
+    return phase / HBAR_MEV_NS, slope / HBAR_MEV_NS
 
 
 def kron_chain(n: int, site_ops: dict[int, np.ndarray]) -> np.ndarray:

@@ -25,6 +25,7 @@ from dotchain.harness import prepare_chain
 from dotchain.measurement import NAMED_AXES, X_AXIS, Y_AXIS, Z_AXIS
 from dotchain.rng import MEASUREMENT, uniforms
 
+import oracles
 from conftest import random_state
 from oracles import (
     I2,
@@ -486,6 +487,111 @@ def test_run_schedule_refuses_missing_axis_before_measuring(monkeypatch):
     with pytest.raises(TypeError):
         run_schedule(state, schedule_rounds(range(4)), {q: (0j, 0j, 1 + 0j) for q in range(4)}, seed=0)
     assert draws == []
+
+
+def test_clipped_branch_probability_is_revalidated():
+    # this input's norm is just inside NORM_ATOL above 1, and rounding puts
+    # its +x branch's norm just outside it: p+ is clipped to 1, and the
+    # scaled branch is refused as a ChainState, as project and the spec
+    # loop refuse it
+    amps = np.array(
+        [
+            complex(0.5709117373900118, 0.4172047311696239),
+            complex(0.5709117379609235, 0.4172047315868287),
+        ]
+    )
+    state = ChainState(1, amps)
+    spec = MeasurementSpec(0, X_AXIS)
+    branch = projected_branch(state, spec, +1)
+    assert np.vdot(branch, branch).real > 1.0
+    with pytest.raises(ValueError, match="norm"):
+        project(state, spec, +1)
+    for run in (run_schedule, spec_loop_run_schedule):
+        with pytest.raises(ValueError, match="norm"):
+            run(state, schedule_rounds([0]), {0: X_AXIS}, seed=0)
+
+
+class _AxisTuple(tuple):
+    pass
+
+
+# Equal but not identical spellings of the named axes, and (0j, 0j, 1 + 0j),
+# which equals Z_AXIS and hashes like it but is refused
+@pytest.mark.parametrize(
+    "axis",
+    [
+        X_AXIS,
+        tuple(list(Y_AXIS)),
+        tuple(float(c) for c in Z_AXIS),
+        (1, 0, 0),
+        (0, 0, 1),
+        [0.0, 1.0, 0.0],
+        np.array(Z_AXIS),
+        _AxisTuple(X_AXIS),
+        (True, False, False),
+        (-0.0, 0.0, 1.0),
+        (0.0, -1.0, -0.0),
+        (0j, 0j, 1 + 0j),
+    ],
+    ids=repr,
+)
+def test_named_axis_fast_path_accepts_nothing_new(monkeypatch, axis):
+    # only a NAMED_AXES tuple itself skips _unit_axis: any other spelling
+    # gives the spec loop's record bytes, or its exception before any draw
+    draws = []
+    monkeypatch.setattr(
+        measurement, "uniforms", lambda *args: draws.append(args) or uniforms(*args)
+    )
+    state = random_state(5, np.random.default_rng(44))
+    schedule = schedule_rounds(range(5))
+    bases = {q: axis for q in range(5)}
+    try:
+        MeasurementSpec(0, axis)
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            run_schedule(state, schedule, bases, seed=0)
+        assert draws == []
+        return
+    for seed in (0, 9, 2**40 + 3):
+        records = run_schedule(state, schedule, bases, seed)
+        expected = spec_loop_run_schedule(state, schedule, bases, seed)
+        assert [_record_bytes(r) for r in records] == [_record_bytes(r) for r in expected]
+    assert len(draws) == 3
+
+
+@pytest.mark.parametrize(
+    "tiny, raises",
+    [(1e-110, False), (1e-150, False), (1e-160, True)],
+)
+def test_tiny_branch_probability_matches_spec_loop_oracle(monkeypatch, tiny, raises):
+    # qubit 0's |0> part has norm tiny, so p- = tiny^2, and the input norm is
+    # 1 - 5e-13, inside NORM_ATOL, so the largest uniform draws the -1
+    # branch, scaled by 1/tiny. At p = 1e-220 no post-state is re-validated
+    # and at 1e-300 it is; at 1e-320, subnormal, p is too inexact to scale
+    # the branch to norm 1, which both refuse as a ChainState
+    rng = np.random.default_rng(12)
+    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+    amps[:4] *= tiny / np.linalg.norm(amps[:4])
+    amps[4:] *= math.sqrt(1.0 - 1e-12) / np.linalg.norm(amps[4:])
+    state = ChainState(3, amps)
+    schedule = schedule_rounds(range(3))
+    bases = {0: Z_AXIS, 1: Y_AXIS, 2: X_AXIS}
+
+    def draws(seed, domain, start, count):
+        return np.array([[1.0 - 2.0**-53], [0.3], [0.6]])[start : start + count]
+
+    monkeypatch.setattr(measurement, "uniforms", draws)
+    monkeypatch.setattr(oracles, "uniforms", draws)
+    if raises:
+        for run in (run_schedule, spec_loop_run_schedule):
+            with pytest.raises(ValueError, match="norm"):
+                run(state, schedule, bases, seed=0)
+        return
+    records = run_schedule(state, schedule, bases, seed=0)
+    expected = spec_loop_run_schedule(state, schedule, bases, seed=0)
+    assert [_record_bytes(r) for r in records] == [_record_bytes(r) for r in expected]
+    assert records[0].outcome == -1 and 0.0 < records[0].probability < 1e-200
+    assert all(0.01 < r.probability < 0.99 for r in records[1:])
 
 
 @pytest.mark.parametrize(

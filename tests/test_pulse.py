@@ -152,7 +152,7 @@ def test_sharp_passage_window(dev):
     assert 0.0 < t_high - t_low <= 1e-2 * tau1
 
 
-def test_quadrature_matches_trapezoid_oracle(dev):
+def test_closed_form_phase_matches_trapezoid_oracle(dev):
     rng = np.random.default_rng(20240917)
     for _ in range(5):
         ramp = float(rng.uniform(0.05, 2.0))
@@ -160,9 +160,18 @@ def test_quadrature_matches_trapezoid_oracle(dev):
         lo = float(rng.uniform(-3.0, -0.5))
         hi = float(rng.uniform(0.5, 3.0))
         pulse = DetuningPulse(ramp_ns=ramp, hold_ns=hold, eps_low_mev=lo, eps_high_mev=hi)
-        adaptive = accumulated_phase(pulse, dev)
+        closed_form = accumulated_phase(pulse, dev)
         oracle = trapezoid_phase(ramp, hold, ramp, lo, hi, dev, steps=10_000_000)
-        assert adaptive == pytest.approx(oracle, rel=1e-6)
+        assert closed_form == pytest.approx(oracle, rel=1e-6)
+
+
+def test_rectangular_pulse_matches_trapezoid_oracle(dev):
+    # no ramp: the pulse holds eps_high from just after 0 to just before its
+    # end, which the oracle's hold segment integrates with eps_high at both
+    # of its end nodes
+    pulse = DetuningPulse(ramp_ns=0.0, hold_ns=1.5, eps_low_mev=-2.5, eps_high_mev=2.5)
+    oracle = trapezoid_phase(0.0, 1.5, 0.0, -2.5, 2.5, dev, steps=100_000)
+    assert accumulated_phase(pulse, dev) == pytest.approx(oracle, rel=1e-6)
 
 
 @settings(max_examples=30, deadline=None)
@@ -241,7 +250,7 @@ def test_local_phase_matches_trapezoid_oracle(dev):
     # third of that change), is kept below a tenth of the tolerance
     tc = dev.tunnel_coupling_mev
     rng = np.random.default_rng(20261020)
-    pulses = [DetuningPulse(0.8, 0.0, -1.0, 3.0)]
+    pulses = [DetuningPulse(0.8, 0.0, -1.0, 3.0), DetuningPulse(0.0, 1.5, -1.0, 3.0)]
     for _ in range(3):
         ramp = float(rng.uniform(0.05, 2.0))
         hold = float(rng.uniform(0.0, 3.0))
