@@ -372,7 +372,7 @@ def run_schedule(
     for q, plus, u in zip(order, projectors, draws):
         outcome, amps, prob = _sample(amps, q, n, plus, u)
         records.append(MeasurementRecord(q, outcome, prob))
-        # in place, and equal to branch / sqrt(prob) up to the sign of an
+        # in place, and equal to amps / sqrt(prob) up to the sign of an
         # exact zero, which no probability sees; it never leaves the call
         amps *= 1.0 / math.sqrt(prob)
         if not _SCALED_NORM_EXACT_FROM <= prob < 1.0:  # p may be clipped or inexact
