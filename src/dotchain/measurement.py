@@ -35,22 +35,29 @@ finite unit 3-vector. It reads the axis once, so an iterator is accepted
 by both. run_schedule skips it only for the NAMED_AXES tuples themselves,
 recognised by identity, not by value, and validated at import; an equal
 value, such as (0j, 0j, 1 + 0j), still goes through it. A qubit index is
-an int, or a numpy integer converted to one: bool, float and text are
-refused with TypeError by MeasurementSpec, MeasurementRecord and
-RoundSchedule, so a schedule holds ints before anything is drawn.
-run_schedule resolves every scheduled qubit's axis before it draws, and a
-missing axis is refused. It then draws all its uniforms in one call and
-carries the raw amplitudes of one post-state from measurement to
-measurement, scaled by 1/sqrt(p); measure and project divide by sqrt(p),
-which differs only in the sign of an exact zero. measure, project and
-run_schedule share the kernel and the projector lookup, and measure and
-run_schedule share one sampler, which never samples an outcome of
-probability 0. Each public call checks its input state once. measure and
-project return their post-states as validated ChainStates; run_schedule
-builds none where p alone fixes the norm to 1: p > 0 comes from the
-branch's own norm, on a checked, finite input, and is neither clipped to 1
-nor near the subnormal range. Any other p has its scaled branch
-re-validated as a ChainState.
+an int, or a numpy integer converted to one, and so is an outcome, which
+must then be +1 or -1: bool, float and text are refused with TypeError,
+as qubit indices by MeasurementSpec, MeasurementRecord and RoundSchedule,
+and as outcomes by MeasurementRecord and project. So a schedule holds
+ints before anything is drawn.
+
+run_schedule checks its schedule once, before it draws: the input state,
+the qubit range, and every scheduled qubit's axis in one pass, a missing
+axis refused. It then draws all its uniforms in one call, converted once
+to Python floats, and carries the raw amplitudes of one post-state from
+measurement to measurement, scaled by 1/sqrt(p); measure and project
+divide by sqrt(p), which differs only in the sign of an exact zero.
+measure, project and run_schedule share the kernel and the projector
+lookup, and measure and run_schedule share one sampler, which never
+samples an outcome of probability 0. Each public call checks its input
+state once. measure and project return their post-states as validated
+ChainStates; run_schedule builds none where p alone fixes the norm to 1:
+p > 0 comes from the branch's own norm, on a checked, finite input, and
+is neither clipped to 1 nor near the subnormal range. Any other p has its
+scaled branch re-validated as a ChainState. Its records are built without
+a second check: MeasurementRecord's own would only confirm what the
+schedule and the sampler guarantee, an int qubit, an outcome of +1 or -1
+and a float probability in (0, 1].
 
 A MeasurementRecord is the classical outcome of one measurement: qubit,
 outcome and probability, the record a one-way computation keeps
@@ -102,15 +109,24 @@ def _unit_axis(basis) -> tuple[float, ...]:
     return axis
 
 
-def _qubit_index(qubit) -> int:
-    """A qubit index as an int: Python and numpy integers pass operator.index.
+def _integer(value, what: str) -> int:
+    """A qubit index or an outcome as an int: numpy integers become ints.
 
-    bool is refused with TypeError although it is an int, as are float and
-    text, which operator.index refuses itself.
+    Python and numpy integers pass operator.index. bool is refused with
+    TypeError although it is an int, as are float and text, which
+    operator.index refuses itself.
     """
-    if isinstance(qubit, bool):
-        raise TypeError(f"qubit index must be an integer, got {qubit!r}")
-    return operator.index(qubit)
+    if isinstance(value, bool):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
+def _outcome(outcome) -> int:
+    """An outcome as the int +1 or -1, checked as _integer checks it."""
+    outcome = _integer(outcome, "outcome")
+    if outcome not in (-1, +1):
+        raise ValueError(f"outcome must be +-1, got {outcome}")
+    return outcome
 
 
 @dataclass(frozen=True)
@@ -121,7 +137,7 @@ class MeasurementSpec:
     basis: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "qubit", _qubit_index(self.qubit))
+        object.__setattr__(self, "qubit", _integer(self.qubit, "qubit index"))
         object.__setattr__(self, "basis", _unit_axis(self.basis))
         if self.qubit < 0:
             raise ValueError(f"qubit index must be >= 0, got {self.qubit}")
@@ -136,9 +152,8 @@ class MeasurementRecord:
     probability: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "qubit", _qubit_index(self.qubit))
-        if self.outcome not in (-1, +1):
-            raise ValueError(f"outcome must be +-1, got {self.outcome}")
+        object.__setattr__(self, "qubit", _integer(self.qubit, "qubit index"))
+        object.__setattr__(self, "outcome", _outcome(self.outcome))
         if not 0.0 <= self.probability <= 1.0 + 1e-12:
             raise ValueError(f"probability {self.probability} outside [0, 1]")
 
@@ -150,7 +165,7 @@ class RoundSchedule:
     rounds: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rounds = tuple(tuple(_qubit_index(q) for q in rnd) for rnd in self.rounds)
+        rounds = tuple(tuple(_integer(q, "qubit index") for q in rnd) for rnd in self.rounds)
         object.__setattr__(self, "rounds", rounds)
         seen = set()
         for rnd in rounds:
@@ -218,18 +233,21 @@ def _projector(axis, outcome: int) -> _Projector:
 _NAMED_PLUS_BY_ID = {id(axis): _NAMED_PROJECTORS[axis, +1] for axis in NAMED_AXES.values()}
 
 
-def _scheduled_projector(bases, qubit: int) -> _Projector:
-    """P+ of a scheduled qubit's axis, refusing a missing or invalid axis.
+def _scheduled_projectors(bases, order) -> list[_Projector]:
+    """P+ of each scheduled qubit's axis, refusing a missing or invalid axis.
 
     A NAMED_AXES tuple itself, validated at import, takes its prebuilt P+;
     any other value goes through _unit_axis.
     """
-    try:
-        given = bases[qubit]
-    except LookupError:
-        raise ValueError(f"bases has no axis for scheduled qubit {qubit}") from None
-    projector = _NAMED_PLUS_BY_ID.get(id(given))
-    return projector if projector is not None else _projector(_unit_axis(given), +1)
+    projectors = []
+    for qubit in order:
+        try:
+            given = bases[qubit]
+        except LookupError:
+            raise ValueError(f"bases has no axis for scheduled qubit {qubit}") from None
+        projector = _NAMED_PLUS_BY_ID.get(id(given))
+        projectors.append(projector if projector is not None else _projector(_unit_axis(given), +1))
+    return projectors
 
 
 def _apply_on_qubit(amps: np.ndarray, projector: _Projector, qubit: int, n: int) -> np.ndarray:
@@ -273,8 +291,7 @@ def project(
     The post-state is None when the probability vanishes. Deterministic
     companion of measure(); also the enumeration oracle used by the tests.
     """
-    if outcome not in (-1, +1):
-        raise ValueError(f"outcome must be +-1, got {outcome}")
+    outcome = _outcome(outcome)
     _check(state, (spec.qubit,))
     n = state.n_qubits
     branch = _apply_on_qubit(state.amplitudes, _projector(spec.basis, outcome), spec.qubit, n)
@@ -327,7 +344,7 @@ def schedule_rounds(requested) -> RoundSchedule:
     parity 2-coloring (evens, then odds), which is optimal on a path.
     Deterministic: rounds are sorted ascending.
     """
-    qubits = [_qubit_index(q) for q in requested]
+    qubits = [_integer(q, "qubit index") for q in requested]
     if len(set(qubits)) != len(qubits):
         raise ValueError("requested qubit indices must be distinct")
     ordered = sorted(qubits)
@@ -346,11 +363,12 @@ def run_schedule(
     Within a round the projectors act on non-adjacent qubits and commute, so
     the intra-round order cannot change any joint outcome probability (the
     tests check this by enumeration). bases maps qubit index to a Bloch
-    axis; every scheduled qubit's axis is resolved, and a missing or invalid
-    one refused, before anything is drawn or measured (a NAMED_AXES tuple
+    axis. The schedule is checked once, before anything is drawn or
+    measured: the state and qubit range, then every scheduled qubit's axis
+    in one pass, a missing or invalid one refused (a NAMED_AXES tuple
     itself, recognised by identity, is not validated again). Measurement t
     uses stream t of the seed: one draw of k streams serves all k
-    measurements.
+    measurements, converted once to Python floats.
 
     Only the input state is checked; each later measurement samples the raw
     amplitudes of the one before it, the sampled branch scaled in place by
@@ -360,18 +378,23 @@ def run_schedule(
     and at least _SCALED_NORM_EXACT_FROM (exact to rounding). For any other
     p the scaled branch is validated as a ChainState, which refuses a norm
     off 1 by more than NORM_ATOL. Only that one post-state is kept; the
-    records hold none.
+    records hold none. Each record is built without MeasurementRecord's
+    check, which would find nothing: its qubit is an int of the validated
+    schedule, and _sample gives an outcome of +1 or -1 and a float
+    probability in (0, 1].
     """
     order = [q for rnd in schedule.rounds for q in sorted(rnd)]
     _check(state, order)
-    projectors = [_scheduled_projector(bases, q) for q in order]
-    draws = uniforms(seed, MEASUREMENT, 0, len(order))[:, 0] if order else ()
+    projectors = _scheduled_projectors(bases, order)
+    draws = uniforms(seed, MEASUREMENT, 0, len(order))[:, 0].tolist() if order else ()
     n = state.n_qubits
     records: list[MeasurementRecord] = []
     amps = state.amplitudes
     for q, plus, u in zip(order, projectors, draws):
         outcome, amps, prob = _sample(amps, q, n, plus, u)
-        records.append(MeasurementRecord(q, outcome, prob))
+        record = object.__new__(MeasurementRecord)
+        record.__dict__.update(qubit=q, outcome=outcome, probability=prob)
+        records.append(record)
         # in place, and equal to amps / sqrt(prob) up to the sign of an
         # exact zero, which no probability sees; it never leaves the call
         amps *= 1.0 / math.sqrt(prob)

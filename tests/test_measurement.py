@@ -108,6 +108,35 @@ def test_numpy_integer_qubit_index_becomes_int():
         assert records == run_schedule(ideal_cluster(3), schedule_rounds([0, 2]), bases, 0)
 
 
+@pytest.mark.parametrize(
+    "outcome", [True, False, np.True_, 1.0, np.float64(-1.0), "1", 1 + 0j], ids=repr
+)
+def test_non_integer_outcome_is_refused(outcome):
+    # an outcome is checked as a qubit index is: bool, float and text are
+    # refused, not stored as given
+    with pytest.raises(TypeError, match="integer"):
+        MeasurementRecord(qubit=0, outcome=outcome, probability=0.5)
+    with pytest.raises(TypeError, match="integer"):
+        project(ideal_cluster(2), MeasurementSpec(0, Z_AXIS), outcome)
+
+
+def test_numpy_integer_outcome_becomes_int():
+    state = ideal_cluster(3)
+    spec = MeasurementSpec(1, X_AXIS)
+    for outcome in (-1, +1):
+        want_p, want_post = project(state, spec, outcome)
+        for value in (np.int64(outcome), np.int8(outcome), np.intp(outcome)):
+            record = MeasurementRecord(qubit=0, outcome=value, probability=0.5)
+            assert type(record.outcome) is int and record.outcome == outcome
+            p, post = project(state, spec, value)
+            assert repr(p) == repr(want_p)
+            assert post.amplitudes.tobytes() == want_post.amplitudes.tobytes()
+    with pytest.raises(ValueError, match="outcome"):
+        MeasurementRecord(qubit=0, outcome=np.int64(0), probability=0.5)
+    with pytest.raises(ValueError, match="outcome"):
+        project(state, spec, np.uint8(2))
+
+
 def test_z_measurement_of_singlet_state():
     # |0> is the singlet: the charge moves, outcome -1, with certainty
     record, post = measure(ket(1, 0), MeasurementSpec(0, Z_AXIS), seed=0)
@@ -403,6 +432,26 @@ def test_measurement_bytes_match_spec_loop_oracle(n, seed, cluster, kinds, data)
             assert (post is None) == (post_want is None)
             if post is not None:
                 assert post.amplitudes.tobytes() == post_want.amplitudes.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_schedule_records_equal_checked_records(n):
+    # run_schedule builds its records without MeasurementRecord's check:
+    # each is the record that check keeps, with the same field types, and
+    # the list prints as the spec loop's does (a numpy scalar field would
+    # print differently in the benchmark's !r digest)
+    rng = np.random.default_rng(900 + n)
+    schedule = schedule_rounds(range(n))
+    for kind in AXIS_KINDS:
+        for seed in (0, 17, 2**63 + 1):
+            state = random_state(n, rng)
+            bases = {q: _axis_of_kind(kind, rng) for q in range(n)}
+            records = run_schedule(state, schedule, bases, seed)
+            for r in records:
+                assert type(r) is MeasurementRecord
+                assert (type(r.qubit), type(r.outcome), type(r.probability)) == (int, int, float)
+                assert r == MeasurementRecord(r.qubit, r.outcome, r.probability)
+            assert repr(records) == repr(spec_loop_run_schedule(state, schedule, bases, seed))
 
 
 @settings(max_examples=150, deadline=None)
