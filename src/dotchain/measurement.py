@@ -19,14 +19,21 @@ psi_j*P[j, j] + psi_{1-j}*P[j, 1-j] over contiguous arrays: psi_{1-j} is
 one copy of psi[:, ::-1], the flipped view, so no index table is needed.
 Each coefficient pair is one scalar when its two entries are equal (both
 on x, the diagonal on y) and a column over j otherwise (the off-diagonal on
-y, whose sign flips on the bit-1 half). When P is diag(0, 1) or diag(1, 0),
-as on z, the branch is the amplitudes with one half set to 0. No branch
-leaves a -0.0 component, as a sum accumulated from zero would not, and each
-gives the bytes of the broadcast formula psi[:, 0]*P[j, 0] +
-psi[:, 1]*P[j, 1]. One helper builds P = (I + o*M(axis))/2 in the forms the
-kernel reads; the projectors of the three named axes and both outcomes are
-built once, at import, and any other axis is built per use by the same
-helper.
+y, whose sign flips on the bit-1 half). When all four entries of P are
+equal, as for P+ on x, the projector is built with its flip the diagonal
+object itself, and the kernel forms one product t = psi*P[0, 0] and writes
+t_j + t_{1-j}: the same products and sums, one full-size multiply fewer.
+When P is diag(0, 1) or diag(1, 0), as on z, the branch is the amplitudes
+with one half set to 0. That kernel, _project_raw, can leave a -0.0
+component. _apply_on_qubit, which project and measure use, adds 0.0 to its
+result, so no post-state they return holds a -0.0, as a sum accumulated
+from zero would not, and each gives the bytes of the broadcast formula
+psi[:, 0]*P[j, 0] + psi[:, 1]*P[j, 1]. run_schedule returns no post-state
+and skips that pass: a probability is a sum of squares, and the sign of a
+zero moves no nonzero amplitude, so no record changes. One helper builds
+P = (I + o*M(axis))/2 in the forms the kernel reads; the projectors of the
+three named axes and both outcomes are built once, at import, and any
+other axis is built per use by the same helper.
 
 One check, _unit_axis, validates every axis, for MeasurementSpec and
 run_schedule alike: text is refused, the components become floats, an axis
@@ -48,16 +55,22 @@ to Python floats, and carries the raw amplitudes of one post-state from
 measurement to measurement, scaled by 1/sqrt(p); measure and project
 divide by sqrt(p), which differs only in the sign of an exact zero.
 measure, project and run_schedule share the kernel and the projector
-lookup, and measure and run_schedule share one sampler, which never
-samples an outcome of probability 0. Each public call checks its input
-state once. measure and project return their post-states as validated
-ChainStates; run_schedule builds none where p alone fixes the norm to 1:
-p > 0 comes from the branch's own norm, on a checked, finite input, and
-is neither clipped to 1 nor near the subnormal range. Any other p has its
-scaled branch re-validated as a ChainState. Its records are built without
-a second check: MeasurementRecord's own would only confirm what the
-schedule and the sampler guarantee, an int qubit, an outcome of +1 or -1
-and a float probability in (0, 1].
+lookup, and measure and run_schedule sample by one rule: -1 when the
+uniform reaches p+ and p- > 0, so an outcome of probability 0 is never
+sampled. Both form the -1 branch as psi - P+ psi. measure and the first
+measurement of a schedule write it to a new array, since psi is the
+caller's; later ones write it into the carried amplitudes, which belong to
+run_schedule, and on z, where psi - P+ psi is psi with the half P+ keeps
+set to 0, they set that half to 0 in place. Each public call checks its
+input state once. measure and project return their post-states as
+validated ChainStates; run_schedule builds none where p alone fixes the
+norm to 1: p > 0 comes from the branch's own norm, on a checked, finite
+input, and is neither clipped to 1 nor near the subnormal range. Any other
+p has its scaled branch re-validated as a ChainState. Its records are
+built without a second check: MeasurementRecord's own would only confirm
+what the schedule and the sampler guarantee, an int qubit, an outcome of
++1 or -1 and a float probability in (0, 1]. That check refuses a bool or
+text probability with TypeError and stores any other as a float.
 
 A MeasurementRecord is the classical outcome of one measurement: qubit,
 outcome and probability, the record a one-way computation keeps
@@ -154,7 +167,10 @@ class MeasurementRecord:
     def __post_init__(self) -> None:
         object.__setattr__(self, "qubit", _integer(self.qubit, "qubit index"))
         object.__setattr__(self, "outcome", _outcome(self.outcome))
-        if not 0.0 <= self.probability <= 1.0 + 1e-12:
+        if isinstance(self.probability, (bool, np.bool_, *_TEXT)):  # float() would take them
+            raise TypeError(f"probability must be a real number, got {self.probability!r}")
+        object.__setattr__(self, "probability", float(self.probability))
+        if not 0.0 <= self.probability <= 1.0 + 1e-12:  # NaN fails too
             raise ValueError(f"probability {self.probability} outside [0, 1]")
 
 
@@ -211,7 +227,10 @@ def _build_projector(axis, outcome: int) -> _Projector:
     zeroed = None
     if p[0, 1] == 0.0 and p[1, 0] == 0.0 and p[0, 0] * p[1, 1] == 0.0:
         zeroed = 0 if p[0, 0] == 0.0 else 1  # the other entry is then exactly 1
-    return _Projector(pair(p[0, 0], p[1, 1]), pair(p[0, 1], p[1, 0]), zeroed)
+    diagonal = pair(p[0, 0], p[1, 1])
+    # four equal entries, as in P+ on x: the kernel tests flip is diagonal
+    flip = diagonal if p[0, 0] == p[1, 1] == p[0, 1] == p[1, 0] else pair(p[0, 1], p[1, 0])
+    return _Projector(diagonal, flip, zeroed)
 
 
 _NAMED_PROJECTORS = {
@@ -250,16 +269,29 @@ def _scheduled_projectors(bases, order) -> list[_Projector]:
     return projectors
 
 
-def _apply_on_qubit(amps: np.ndarray, projector: _Projector, qubit: int, n: int) -> np.ndarray:
-    """P applied to one qubit, axis 1 of the view psi below; no component is -0.0."""
+def _project_raw(amps: np.ndarray, projector: _Projector, qubit: int, n: int) -> np.ndarray:
+    """P applied to one qubit, axis 1 of the view psi below; a zero may be -0.0.
+
+    Its bytes differ from _apply_on_qubit's only in the sign of an exact
+    zero, which no probability sees. It never writes to amps.
+    """
     psi = amps.reshape(2**qubit, 2, 2 ** (n - qubit - 1))
     if projector.zeroed is not None:  # P is diag(0, 1) or diag(1, 0): one half of psi, the other 0
-        out = amps + 0.0  # -0.0 -> +0.0, as in a sum accumulated from zero
+        out = amps.copy()
         out.reshape(psi.shape)[:, projector.zeroed] = 0.0
         return out
+    if projector.flip is projector.diagonal:  # P+ on x: out_j = t_j + t_{1-j}, t = psi*P[j, j]
+        scaled = psi * projector.diagonal
+        return (scaled + scaled[:, ::-1]).reshape(-1)
     # out_j = psi_j*P[j, j] + psi_{1-j}*P[j, 1-j] over one flipped copy
     out = (psi * projector.diagonal).reshape(-1)
     out += (psi[:, ::-1] * projector.flip).reshape(-1)
+    return out
+
+
+def _apply_on_qubit(amps: np.ndarray, projector: _Projector, qubit: int, n: int) -> np.ndarray:
+    """P applied to one qubit, as _project_raw; no component is -0.0."""
+    out = _project_raw(amps, projector, qubit, n)
     out += 0.0  # -0.0 -> +0.0, as in a sum accumulated from zero
     return out
 
@@ -299,24 +331,6 @@ def project(
     return prob, ChainState(n, branch / math.sqrt(prob)) if prob > 0.0 else None
 
 
-def _sample(
-    amps: np.ndarray, qubit: int, n: int, plus: _Projector, u: float
-) -> tuple[int, np.ndarray, float]:
-    """Outcome, unnormalized branch and its probability; -1 when u reaches p+ and p- > 0.
-
-    amps is not re-checked. A state normalized only to NORM_ATOL can leave
-    p- = 0 with p+ below 1.
-    """
-    branch = _apply_on_qubit(amps, plus, qubit, n)
-    outcome, prob = +1, _probability(branch)
-    if u >= prob:
-        minus = amps - branch
-        p_minus = _probability(minus)
-        if p_minus > 0.0:
-            outcome, branch, prob = -1, minus, p_minus
-    return outcome, branch, prob
-
-
 def measure(
     state: ChainState, spec: MeasurementSpec, seed: int, stream: int = 0
 ) -> tuple[MeasurementRecord, ChainState]:
@@ -328,12 +342,20 @@ def measure(
     Checks the state once and draws stream `stream` of the seed's measurement
     domain. One projection serves both outcomes: the -1 branch is psi - P+ psi,
     and its probability comes from its own norm, not from 1 - p+, which
-    cancels when p+ is close to 1. Only the sampled branch is normalized.
+    cancels when p+ is close to 1. The outcome is -1 when the uniform reaches
+    p+ and p- > 0; a state normalized only to NORM_ATOL can leave p- = 0 with
+    p+ below 1. Only the sampled branch is normalized.
     """
     _check(state, (spec.qubit,))
     u = uniforms(seed, MEASUREMENT, stream, 1)[0, 0]
-    n, plus = state.n_qubits, _projector(spec.basis, +1)
-    outcome, branch, prob = _sample(state.amplitudes, spec.qubit, n, plus, u)
+    n, amps = state.n_qubits, state.amplitudes
+    branch = _apply_on_qubit(amps, _projector(spec.basis, +1), spec.qubit, n)
+    outcome, prob = +1, _probability(branch)
+    if u >= prob:
+        minus = amps - branch
+        p_minus = _probability(minus)
+        if p_minus > 0.0:
+            outcome, branch, prob = -1, minus, p_minus
     return MeasurementRecord(spec.qubit, outcome, prob), ChainState(n, branch / math.sqrt(prob))
 
 
@@ -374,14 +396,20 @@ def run_schedule(
     amplitudes of the one before it, the sampled branch scaled in place by
     1/sqrt(p), with no ChainState in between. Their norm is 1 to rounding
     because the input is checked and finite and p > 0 comes from the
-    branch's own norm, as _sample ensures, when p is below 1 (not clipped)
-    and at least _SCALED_NORM_EXACT_FROM (exact to rounding). For any other
-    p the scaled branch is validated as a ChainState, which refuses a norm
-    off 1 by more than NORM_ATOL. Only that one post-state is kept; the
-    records hold none. Each record is built without MeasurementRecord's
-    check, which would find nothing: its qubit is an int of the validated
-    schedule, and _sample gives an outcome of +1 or -1 and a float
-    probability in (0, 1].
+    branch's own norm, as the sampling rule ensures, when p is below 1 (not
+    clipped) and at least _SCALED_NORM_EXACT_FROM (exact to rounding). For
+    any other p the scaled branch is validated as a ChainState, which
+    refuses a norm off 1 by more than NORM_ATOL. Only that one post-state is
+    kept; the records hold none.
+
+    The branches come from _project_raw, with no -0.0 cleanup, since no
+    post-state is returned and no probability sees the sign of a zero; on x
+    P+ takes one product. The -1 branch psi - P+ psi is written into the
+    carried amplitudes once they are this call's own, never into the
+    caller's, and on z it is those amplitudes with the half P+ keeps set to
+    0. Each record is built without MeasurementRecord's check, which would
+    find nothing: its qubit is an int of the validated schedule, and the
+    sampling gives an outcome of +1 or -1 and a float probability in (0, 1].
     """
     order = [q for rnd in schedule.rounds for q in sorted(rnd)]
     _check(state, order)
@@ -389,9 +417,22 @@ def run_schedule(
     draws = uniforms(seed, MEASUREMENT, 0, len(order))[:, 0].tolist() if order else ()
     n = state.n_qubits
     records: list[MeasurementRecord] = []
-    amps = state.amplitudes
+    amps = state.amplitudes  # the caller's until the first branch replaces it
     for q, plus, u in zip(order, projectors, draws):
-        outcome, amps, prob = _sample(amps, q, n, plus, u)
+        branch = _project_raw(amps, plus, q, n)
+        outcome, prob = +1, _probability(branch)
+        if u >= prob:  # as in measure: -1 unless p- = 0
+            # amps becomes P- psi = psi - P+ psi, in place once it is this call's own
+            if amps is state.amplitudes:
+                amps = amps - branch
+            elif plus.zeroed is None:
+                amps -= branch
+            else:  # z: psi - P+ psi is psi with the half P+ keeps set to 0
+                amps.reshape(2**q, 2, -1)[:, 1 - plus.zeroed] = 0.0
+            p_minus = _probability(amps)
+            if p_minus > 0.0:
+                outcome, branch, prob = -1, amps, p_minus
+        amps = branch
         record = object.__new__(MeasurementRecord)
         record.__dict__.update(qubit=q, outcome=outcome, probability=prob)
         records.append(record)

@@ -46,9 +46,23 @@ _WORD = 2**64
 SEED_BOUND = _WORD
 # One generator, built on the first draw (not at import) and re-keyed for
 # every draw: setting its state is four times cheaper than constructing a
-# generator, which would seed (and discard) a SeedSequence each time.
+# generator, which would seed (and discard) a SeedSequence each time. The
+# state it is set from is one dict whose counter and key lists each draw
+# overwrites in place, under the lock; the generator copies them in, and
+# Python ints convert faster than numpy arrays. buffer_pos = 4 marks the
+# buffer empty, so no word of an earlier draw is read.
 _PHILOX: np.random.Philox | None = None
 _PHILOX_LOCK = threading.Lock()
+_COUNTER = [0] * WORDS_PER_BLOCK
+_KEY = [0, 0]
+_PHILOX_STATE = {
+    "bit_generator": "Philox",
+    "state": {"counter": _COUNTER, "key": _KEY},
+    "buffer": [0] * WORDS_PER_BLOCK,
+    "buffer_pos": WORDS_PER_BLOCK,
+    "has_uint32": 0,
+    "uinteger": 0,
+}
 
 
 def raw_words(
@@ -70,24 +84,23 @@ def raw_words(
         raise ValueError("streams must lie in [0, 2**64)")
     # counter words (first_stream, j, 0, 0): the generator steps the counter
     # before each block it draws, so block j of stream s is (s + 1, j, 0, 0)
-    counter = np.array([first_stream, 0, 0, 0], dtype=np.uint64)
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": counter, "key": np.array([base_seed, domain], dtype=np.uint64)},
-        "buffer": np.zeros(WORDS_PER_BLOCK, dtype=np.uint64),
-        "buffer_pos": WORDS_PER_BLOCK,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    words = np.empty((n_streams, width, WORDS_PER_BLOCK), dtype=np.uint64)
+    size = n_streams * WORDS_PER_BLOCK
     global _PHILOX
     with _PHILOX_LOCK:
         if _PHILOX is None:
             _PHILOX = np.random.Philox(0)
-        for j in range(width):
-            counter[1] = j
-            _PHILOX.state = state
-            words[:, j] = _PHILOX.random_raw(n_streams * WORDS_PER_BLOCK).reshape(n_streams, -1)
+        _COUNTER[0], _KEY[0], _KEY[1] = first_stream, base_seed, domain
+        _COUNTER[1] = 0
+        _PHILOX.state = _PHILOX_STATE
+        first = _PHILOX.random_raw(size).reshape(n_streams, WORDS_PER_BLOCK)
+        if width == 1:
+            return first
+        words = np.empty((n_streams, width, WORDS_PER_BLOCK), dtype=np.uint64)
+        words[:, 0] = first
+        for j in range(1, width):
+            _COUNTER[1] = j
+            _PHILOX.state = _PHILOX_STATE
+            words[:, j] = _PHILOX.random_raw(size).reshape(n_streams, WORDS_PER_BLOCK)
     return words.reshape(n_streams, width * WORDS_PER_BLOCK)
 
 

@@ -63,6 +63,14 @@ def test_record_validation():
         MeasurementRecord(qubit=0, outcome=2, probability=0.5)
     with pytest.raises(ValueError):
         MeasurementRecord(qubit=0, outcome=1, probability=1.5)
+    # bool is a number to float(), text would be parsed by it: both refused
+    with pytest.raises(TypeError, match="probability"):
+        MeasurementRecord(qubit=0, outcome=1, probability=True)
+    record = MeasurementRecord(qubit=0, outcome=1, probability=np.float64(0.5))
+    assert type(record.probability) is float
+    assert repr(record) == "MeasurementRecord(qubit=0, outcome=1, probability=0.5)"
+    with pytest.raises(ValueError):
+        MeasurementRecord(qubit=0, outcome=1, probability=math.nan)
 
 
 def _assert_qubit_index_refused(monkeypatch, qubit):
@@ -707,23 +715,26 @@ def test_prepared_cluster_shots_keep_probabilities_in_range():
 
 def test_run_schedule_keeps_one_live_post_state():
     # a record is an outcome, not a state: a schedule over all 16 qubits of
-    # a prepared chain peaks at a few state vectors (the kernel's temporaries
-    # and the current post-state), not one kept per record
+    # a prepared chain peaks below 4 state vectors (the current post-state,
+    # the branch and the kernel's temporary), not one kept per record, and
+    # no reference to an earlier vector outlives its step
     n = 16
     state, _ = prepare_chain(config_from_strings({"n_qubits": str(n)}))
     schedule = schedule_rounds(range(n))
-    bases = {q: X_AXIS for q in range(n)}
-    tracemalloc.start()
-    try:
-        records = run_schedule(state, schedule, bases, seed=3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(records) == n
-    assert peak <= 6 * state.amplitudes.nbytes
-    for record in records:
-        for field in dataclasses.fields(record):
-            assert not isinstance(getattr(record, field.name), (np.ndarray, ChainState))
+    run_schedule(ideal_cluster(2), schedule_rounds([0]), {0: Z_AXIS}, seed=0)  # imports numpy.random
+    for cycle in ((X_AXIS,), (X_AXIS, Y_AXIS, Z_AXIS)):
+        bases = {q: cycle[q % len(cycle)] for q in range(n)}
+        tracemalloc.start()
+        try:
+            records = run_schedule(state, schedule, bases, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(records) == n
+        assert peak <= 4 * state.amplitudes.nbytes
+        for record in records:
+            for field in dataclasses.fields(record):
+                assert not isinstance(getattr(record, field.name), (np.ndarray, ChainState))
 
 
 def test_run_schedule_rejects_denormalized_state():

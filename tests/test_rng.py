@@ -39,6 +39,17 @@ def test_stream_reads_its_own_counter_blocks():
     assert np.array_equal(words, np.concatenate(expected))
 
 
+def test_draw_keeps_nothing_of_the_draw_before():
+    # the shared generator is re-keyed in place: a width-1 measurement draw
+    # right after a width-6 noise draw of another seed reads its own block 0,
+    # with no counter word or buffered word left from the earlier draw
+    for earlier_seed, seed, stream in ((4, 5, 0), (0, 2**64 - 1, 41)):
+        raw_words(earlier_seed, NOISE, 7, 3, 6)
+        words = raw_words(seed, MEASUREMENT, stream, 1, 1)[0]
+        philox = np.random.Philox(key=seed + MEASUREMENT * 2**64, counter=stream)
+        assert np.array_equal(words, philox.random_raw(4))
+
+
 @pytest.mark.parametrize(
     "seed, domain, stream, block",
     [(0, NOISE, 0, 0), (0, NOISE, 0, 4), (9, MEASUREMENT, 41, 2), (2**64 - 1, NOISE, 2**64 - 1, 5)],
