@@ -205,9 +205,11 @@ class _Projector(NamedTuple):
     """P = (I + o*M(axis))/2 in the forms the kernel reads.
 
     diagonal holds P[j, j] and flip holds P[j, 1 - j], each one scalar when
-    its two entries are equal and the (2, 1) column over j otherwise.
-    zeroed is the half j with P[j, j] = 0 when P is diag(0, 1) or
-    diag(1, 0), as on z, and None otherwise.
+    its two entries are equal and the (2, 1) column over j otherwise. When
+    all four entries are equal, as for P+ on x, flip is the diagonal object
+    itself, which the kernel tests by identity. zeroed is the half j with
+    P[j, j] = 0 when P is diag(0, 1) or diag(1, 0), as on z, and None
+    otherwise.
     """
 
     diagonal: complex | np.ndarray
@@ -228,7 +230,6 @@ def _build_projector(axis, outcome: int) -> _Projector:
     if p[0, 1] == 0.0 and p[1, 0] == 0.0 and p[0, 0] * p[1, 1] == 0.0:
         zeroed = 0 if p[0, 0] == 0.0 else 1  # the other entry is then exactly 1
     diagonal = pair(p[0, 0], p[1, 1])
-    # four equal entries, as in P+ on x: the kernel tests flip is diagonal
     flip = diagonal if p[0, 0] == p[1, 1] == p[0, 1] == p[1, 0] else pair(p[0, 1], p[1, 0])
     return _Projector(diagonal, flip, zeroed)
 

@@ -721,7 +721,8 @@ def test_run_schedule_keeps_one_live_post_state():
     n = 16
     state, _ = prepare_chain(config_from_strings({"n_qubits": str(n)}))
     schedule = schedule_rounds(range(n))
-    run_schedule(ideal_cluster(2), schedule_rounds([0]), {0: Z_AXIS}, seed=0)  # imports numpy.random
+    # the first draw imports numpy.random, which is not a state vector
+    run_schedule(ideal_cluster(2), schedule_rounds([0]), {0: Z_AXIS}, seed=0)
     for cycle in ((X_AXIS,), (X_AXIS, Y_AXIS, Z_AXIS)):
         bases = {q: cycle[q % len(cycle)] for q in range(n)}
         tracemalloc.start()
