@@ -27,9 +27,13 @@ Two estimators of the mean fidelity, kept deliberately independent:
   normals are one contiguous row, and handed to the contraction one bond
   at a time, as one sigma x trial array per bond, so no sigma x trial x
   bond buffer is built and every per-chunk array stays within 128 KiB at
-  any chain length; |overlap|^2 is formed only for the rows some point
-  reads at that bond. The per-trial fidelities of every distinct noisy
-  point, (distinct points) x trials x 8 B, are held until the last chunk.
+  any chain length. The phase errors and bond factors of a chunk are
+  written into two buffers that every bond reuses, and the contraction
+  carries unscaled partial sums, three array passes a bond; |overlap|^2
+  is formed, after an exact power-of-two scaling, only for the rows some
+  point reads at that bond. The per-trial fidelities of every distinct
+  point are rows of one (distinct points) x trials x 8 B table, filled
+  chunk by chunk and reduced by one np.mean and one np.std along its rows.
   Each trial's value is independent of the trial count, the chunk size
   (whatever CHUNK_ELEMENTS is) and the rest of the grid;
 - exact_mean_fidelities integrates the Gaussian analytically, for a whole
@@ -38,8 +42,8 @@ Two estimators of the mean fidelity, kept deliberately independent:
   the bond occupations u, u' of a basis-state pair differ, so
   E[F] = 4^-n * sum_{z,z'} exp(-sigma^2 * d(z,z') / 2) with d counting
   disagreeing bonds; the double sum factorizes into a 4x4 transfer-matrix
-  product over the pair chain, linear in n, and one product per distinct
-  sigma gives every chain length of that sigma as a prefix.
+  product over the pair chain, linear in n, and one stacked product over
+  the distinct sigmas gives every chain length of each sigma as a prefix.
 """
 
 from __future__ import annotations
@@ -59,7 +63,9 @@ from .state import MAX_QUBITS, _bond_factor, _contract_bonds
 # Values do not depend on it: state._contract_bonds names both operands of
 # its complex product, so numpy's temporary elision, which works in place on
 # temporaries of 256 KiB or more, cannot swap them and move the last bit of a
-# fidelity (it did while the product took an unnamed np.exp temporary).
+# fidelity (it did while the product took an unnamed np.exp temporary), and
+# it writes the product to a new array: on numpy 2.4.6 an in-place w1 *= rot
+# gave some one-element batches other bits, depending on their alignment.
 # The budget only bounds memory.
 CHUNK_ELEMENTS = 8192
 
@@ -96,44 +102,57 @@ def _chunk_trials(n_sigmas: int, n_bonds: int) -> int:
     return max(1, CHUNK_ELEMENTS // max(n_sigmas, n_bonds))
 
 
-def _reduce_trial_fidelities(points, trials: int, seed: int, reduce) -> list:
-    """reduce(per-trial fidelities) of every (n_qubits, model) point, in order.
+def _noisy_bond_factors(scale: np.ndarray, by_bond: np.ndarray):
+    """Yield exp(i * (phi_b - pi)) of bond 0, 1, ... as a sigmas x trials array.
+
+    scale is a column of sigmas and by_bond holds one row of normals a bond.
+    The phase errors and the factors of every bond are written into the
+    same two buffers, so each factor is valid until the next is asked for.
+    """
+    delta = np.empty((scale.shape[0], by_bond.shape[1]))
+    rot = np.empty(delta.shape, dtype=np.complex128)
+    for z in by_bond:
+        # (pi + sigma z) - pi, not sigma z: the trial's phase error as rounded in float64
+        np.multiply(scale, z, out=delta)
+        np.add(np.pi, delta, out=delta)
+        np.subtract(delta, np.pi, out=delta)
+        yield _bond_factor(delta, rot)
+
+
+def _trial_table(keys, trials: int, seed: int) -> np.ndarray:
+    """Per-trial fidelities of each distinct (n_qubits, sigma_rad) key, one row each.
 
     Draws and contracts each chunk of trials once for the whole grid, as the
-    module docstring describes. A repeated point is reduced once; a sigma = 0
-    point is neither drawn nor contracted, since each of its bond factors
-    is exactly 1 + 0j and so each of its trials exactly 1.0.
+    module docstring describes. A sigma = 0 row is neither drawn nor
+    contracted, since each of its bond factors is exactly 1 + 0j and so each
+    of its trials exactly 1.0.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    for n_qubits, _ in points:
+    for n_qubits, _ in keys:
         if not 2 <= n_qubits <= MAX_QUBITS:
             raise ValueError(f"n_qubits must lie in [2, {MAX_QUBITS}], got {n_qubits}")
-    keys = list(dict.fromkeys((n_qubits, model.sigma_rad) for n_qubits, model in points))
-    noisy = [key for key in keys if key[1] != 0.0]
-    row = {sigma: r for r, sigma in enumerate(dict.fromkeys(sigma for _, sigma in noisy))}
-    # bonds b -> {row of sigma: per-trial fidelities of the point (b + 1, sigma)}
-    reads: dict[int, dict[int, np.ndarray]] = {}
-    for n_qubits, sigma in noisy:
-        reads.setdefault(n_qubits - 1, {})[row[sigma]] = np.empty(trials)
-    if noisy:
-        scale = np.array(list(row))[:, np.newaxis]
-        bonds = max(reads)
-        count = _chunk_trials(len(row), bonds)
-        for start in range(0, trials, count):
-            size = min(count, trials - start)
-            # one transpose a chunk, so that each bond's normals are a contiguous row
-            by_bond = normals(seed, NOISE, start, size, bonds).T.copy()
-            # (pi + sigma z) - pi, not sigma z: the trial's phase error as rounded in float64
-            factors = (_bond_factor((np.pi + scale * z) - np.pi) for z in by_bond)
-            for b, half in enumerate(_contract_bonds(factors, (len(row), size), bonds)):
-                for r, fidelities in reads.get(b, {}).items():
-                    fidelities[start : start + size] = np.abs(half[r]) ** 2
-    values = {}
-    for n_qubits, sigma in keys:
-        fidelities = reads[n_qubits - 1].pop(row[sigma]) if sigma != 0.0 else np.ones(trials)
-        values[n_qubits, sigma] = reduce(fidelities)
-    return [values[n_qubits, model.sigma_rad] for n_qubits, model in points]
+    table = np.ones((len(keys), trials))
+    noisy = [(i, n_qubits, sigma) for i, (n_qubits, sigma) in enumerate(keys) if sigma != 0.0]
+    if not noisy:
+        return table
+    row = {sigma: r for r, sigma in enumerate(dict.fromkeys(sigma for _, _, sigma in noisy))}
+    # bonds b -> (row of sigma, row of the table) of each point (b + 1, sigma)
+    reads: dict[int, list[tuple[int, int]]] = {}
+    for i, n_qubits, sigma in noisy:
+        reads.setdefault(n_qubits - 1, []).append((row[sigma], i))
+    scale = np.array(list(row))[:, np.newaxis]
+    bonds = max(reads)
+    count = _chunk_trials(len(row), bonds)
+    for start in range(0, trials, count):
+        size = min(count, trials - start)
+        # one transpose a chunk, so that each bond's normals are a contiguous row
+        by_bond = normals(seed, NOISE, start, size, bonds).T.copy()
+        sums = _contract_bonds(_noisy_bond_factors(scale, by_bond), (len(row), size), bonds)
+        for b, (total, weight) in enumerate(sums):
+            for r, i in reads.get(b, ()):
+                table[i, start : start + size] = np.abs(total[r] * weight) ** 2
+    return table
 
 
 def trial_fidelities(
@@ -147,7 +166,7 @@ def trial_fidelities(
     (n_qubits, model, seed, t), not on the trial count, the chunking or the
     other points of a grid.
     """
-    return _reduce_trial_fidelities([(n_qubits, model)], trials, seed, np.asarray)[0]
+    return _trial_table([(n_qubits, model.sigma_rad)], trials, seed)[0]
 
 
 def monte_carlo_fidelities(points, trials: int, seed: int) -> list[FidelityEstimate]:
@@ -156,19 +175,24 @@ def monte_carlo_fidelities(points, trials: int, seed: int) -> list[FidelityEstim
     Point by point, bit-identical to monte_carlo_fidelity: every point reads
     trials 0 .. trials - 1 of the seed, so all points share their trials
     (and are correlated). Each trial is drawn once for the whole grid, up to
-    its longest chain, and contracted once per distinct nonzero sigma.
+    its longest chain, and contracted once per distinct nonzero sigma. The
+    per-trial table of the distinct points is reduced by one np.mean and one
+    np.std along its trial axis, which give each row the bits of a call on
+    that row alone.
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
-
-    def estimate(fidelities: np.ndarray) -> FidelityEstimate:
-        mean = float(np.mean(fidelities))
-        stderr = float(np.std(fidelities, ddof=1) / math.sqrt(trials))
-        # Guard against rounding just past 1 in the sigma = 0 case.
-        mean = min(mean, 1.0)
-        return FidelityEstimate(mean=mean, standard_error=stderr, n_trials=trials, base_seed=seed)
-
-    return _reduce_trial_fidelities(list(points), trials, seed, estimate)
+    points = list(points)
+    keys = list(dict.fromkeys((n_qubits, model.sigma_rad) for n_qubits, model in points))
+    table = _trial_table(keys, trials, seed)
+    means = np.mean(table, axis=1)
+    stderrs = np.std(table, axis=1, ddof=1) / math.sqrt(trials)
+    estimates = {
+        # min: guard against rounding just past 1 in the sigma = 0 case
+        key: FidelityEstimate(min(float(mean), 1.0), float(stderr), trials, seed)
+        for key, mean, stderr in zip(keys, means, stderrs)
+    }
+    return [estimates[n_qubits, model.sigma_rad] for n_qubits, model in points]
 
 
 def monte_carlo_fidelity(
@@ -200,27 +224,30 @@ def _pair_transfer_matrix(sigma_rad: float) -> np.ndarray:
 def exact_mean_fidelities(points) -> list[float]:
     """Gaussian-averaged fidelity of each (n_qubits, model) point, in order.
 
-    One pass per distinct sigma contracts the pair-chain transfer matrix up
-    to that sigma's longest chain and reads every shorter chain on the way,
-    so each value is the one a pass of its own would give, bit for bit.
-    Each step divides by 4, so the 4^-n normalisation is carried along and
-    the contraction cannot overflow; scaling by a power of two is exact, so
-    each value equals the unscaled sum divided by 4^n.
+    One pass contracts the pair-chain transfer matrices of every distinct
+    sigma at once, as a stack, up to the longest chain, and reads every
+    shorter chain on the way, so each value is the one a pass of its own
+    would give, bit for bit. Each step divides by 4, so the 4^-n
+    normalisation is carried along and the contraction cannot overflow;
+    scaling by a power of two is exact, so each value equals the unscaled
+    sum divided by 4^n.
     """
     points = list(points)
-    lengths: dict[float, set[int]] = {}
-    for n_qubits, model in points:
+    for n_qubits, _ in points:
         if not 2 <= n_qubits <= MAX_QUBITS:
             raise ValueError(f"n_qubits must lie in [2, {MAX_QUBITS}], got {n_qubits}")
-        lengths.setdefault(model.sigma_rad, set()).add(n_qubits)
+    if not points:
+        return []
+    sigmas = list(dict.fromkeys(model.sigma_rad for _, model in points))
+    wanted = {n_qubits for n_qubits, _ in points}
+    t = np.stack([_pair_transfer_matrix(sigma) for sigma in sigmas])
+    v = np.full((len(sigmas), 4, 1), 0.25)
     values = {}
-    for sigma, wanted in lengths.items():
-        t = _pair_transfer_matrix(sigma)
-        v = np.ones(4) / 4.0
-        for n_qubits in range(2, max(wanted) + 1):
-            v = (t @ v) * 0.25
-            if n_qubits in wanted:
-                values[sigma, n_qubits] = float(v.sum())
+    for n_qubits in range(2, max(wanted) + 1):
+        v = (t @ v) * 0.25
+        if n_qubits in wanted:
+            for sigma, value in zip(sigmas, v.sum(axis=1)[:, 0]):
+                values[sigma, n_qubits] = float(value)
     return [values[model.sigma_rad, n_qubits] for n_qubits, model in points]
 
 

@@ -11,8 +11,9 @@ prepared by Ising phases needs none of it: ideal_cluster_fidelity and
 cluster_stabilizers verify it in O(n) from its bond phases, which is how
 the prepare command checks its chain and figure3 scores its noisy trials;
 the dense verifiers are test oracles in tests/oracles.py. The O(n)
-contraction rescales every step, so it has no qubit cap of its own. Every
-bond factor exp(i * phi), dense or O(n), comes from _bond_factor. The
+contraction carries unscaled partial sums and scales them by an exact
+power of two every RESCALE_BONDS bonds, so it has no qubit cap of its own.
+Every bond factor exp(i * phi), dense or O(n), comes from _bond_factor. The
 contraction's complex product is written so that a chain's value does not
 depend on the size of the batch it is contracted in; a lone bond vector is
 contracted as a batch of one row.
@@ -27,6 +28,9 @@ import numpy as np
 
 MAX_QUBITS = 24
 NORM_ATOL = 1e-10
+# The O(n) contraction's partial sums grow by at most 2 a bond, so scaling
+# them by 2^-RESCALE_BONDS this often keeps them below 2^RESCALE_BONDS.
+RESCALE_BONDS = 512
 
 
 @dataclass
@@ -105,15 +109,16 @@ def prefix_cluster_fidelities(bond_phases, prefixes) -> list:
     Prefix k keeps the first k bonds, a chain of k + 1 qubits, so one
     left-to-right contraction up to the longest prefix yields every shorter
     chain on the way; the result lists one ideal_cluster_fidelity value per
-    entry of prefixes, in order. Each step halves the partial sums, so the
-    overlap 2^-n * sum_z(...) is carried as (w0 + w1) / 2 and never
-    overflows; halving is exact, so the values equal the unscaled sum
-    divided by 2^n. The bond factors of the bonds read are formed at once,
-    and the loop takes one bond at a time; the Monte Carlo estimator feeds
-    it per-bond factors directly. A 1-d input is contracted as a one-row
-    batch and returned as floats, the bits the same vector gets as a row
-    of any batch. Non-finite phases are refused, as apply_ising_phases and
-    cluster_stabilizers refuse them.
+    entry of prefixes, in order. The overlap 2^-n * sum_z(...) of a prefix
+    read is its partial sum times an exact power of two, as _contract_bonds
+    yields them; scaling by a power of two is exact, so the values equal
+    the unscaled sum divided by 2^n, and the sums never overflow. The bond
+    factors of the bonds read are formed at once, and the loop takes one
+    bond at a time; the Monte Carlo estimator feeds it per-bond factors
+    directly. A 1-d input is contracted as a one-row batch and returned as
+    floats, the bits the same vector gets as a row of any batch. Non-finite
+    phases are refused, as apply_ising_phases and cluster_stabilizers
+    refuse them.
     """
     phases = np.asarray(bond_phases, dtype=float)
     if phases.ndim == 0:
@@ -126,47 +131,69 @@ def prefix_cluster_fidelities(bond_phases, prefixes) -> list:
     rows = np.atleast_2d(phases)
     last = max(prefixes, default=0)
     read = np.moveaxis(rows[..., :last], -1, 0)
-    halves = _contract_bonds(_bond_factor(read - math.pi), rows.shape[:-1], last)
+    sums = _contract_bonds(_bond_factor(read - math.pi), rows.shape[:-1], last)
     wanted = set(prefixes)
-    by_prefix = {b: np.abs(half) ** 2 for b, half in enumerate(halves) if b in wanted}
+    by_prefix = {
+        b: np.abs(total * scale) ** 2 for b, (total, scale) in enumerate(sums) if b in wanted
+    }
     fidelities = [by_prefix[k] for k in prefixes]
     return [float(f[0]) for f in fidelities] if phases.ndim == 1 else fidelities
 
 
-def _bond_factor(delta: np.ndarray) -> np.ndarray:
+def _bond_factor(delta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """exp(i * delta) of an array of real phases, as cos + i sin.
 
     np.cos and np.sin give the bits of np.exp of the purely imaginary
     argument at about two thirds of its cost; only at delta = -0.0 do they
-    differ, in the sign of the zero imaginary part.
+    differ, in the sign of the zero imaginary part. Written into out, a
+    complex array of delta's shape, when one is given.
     """
-    rot = np.empty(delta.shape, dtype=np.complex128)
+    rot = np.empty(delta.shape, dtype=np.complex128) if out is None else out
     np.cos(delta, out=rot.real)
     np.sin(delta, out=rot.imag)
     return rot
 
 
 def _contract_bonds(bond_factors, batch_shape, last: int):
-    """Yield the overlap of the chain of the first b bonds, for b = 0 .. last.
+    """Yield (sums, scale) of the chain of the first b bonds, for b = 0 .. last.
 
     bond_factors yields exp(i * (phi_b - pi)) of bond 0, 1, ... as complex
     arrays of batch_shape, so no batch x bonds buffer is needed; bonds
-    0 .. last - 1 are read. Each yielded array is the overlap of that chain
-    with the ideal cluster, and its fidelity is the overlap's |.|^2, which a
-    caller forms only for the entries it reads. The complex product w1 * rot is the one step whose rounding depends on
-    the code path: with rot a named operand, numpy's temporary elision
-    cannot swap its operands, and it is written to a new array, never in
-    place, so a trial's value does not depend on the size of its batch.
+    0 .. last - 1 are read, each before the next is asked for, so the
+    caller may hand them over in one reused buffer. The overlap of that
+    chain with the ideal cluster is sums * scale, scale an exact power of
+    two, and its fidelity is the overlap's |.|^2, which a caller forms only
+    for the entries it reads. sums is not modified after it is yielded.
+
+    The partial sums w0, w1 over the last qubit's two states are carried
+    unscaled, three array passes a bond (w0 + w1, w1 * rot, + w0); every
+    RESCALE_BONDS bonds both are scaled by 2^-RESCALE_BONDS. Scaling by a
+    power of two commutes with rounding, so every value has the bits of a
+    contraction that halves both sums every bond, as long as no
+    intermediate is subnormal. The complex product w1 * rot is the one step
+    whose rounding depends on the code path: with rot a named operand,
+    numpy's temporary elision cannot swap its operands, and it is written to
+    a new array, never in place (an in-place product moved the last bit of
+    some one-element batches with their alignment), so a trial's value does
+    not depend on the size of its batch.
     """
     factors = iter(bond_factors)
     w0 = np.ones(batch_shape, dtype=np.complex128)
     w1 = np.ones(batch_shape, dtype=np.complex128)
+    exponent = 1  # sums * 2^-exponent is the overlap
     for b in range(last + 1):
-        half = (w0 + w1) * 0.5
-        yield half
+        total = w0 + w1
+        yield total, 2.0**-exponent
         if b < last:
             rot = next(factors)
-            w0, w1 = half, (w0 + w1 * rot) * 0.5
+            w1 = w1 * rot
+            w1 += w0
+            w0 = total
+            exponent += 1
+            if exponent > RESCALE_BONDS:
+                w0 = w0 * 2.0**-RESCALE_BONDS  # w0 is the yielded sums
+                w1 *= 2.0**-RESCALE_BONDS
+                exponent -= RESCALE_BONDS
 
 
 def cluster_stabilizers(bond_phases) -> np.ndarray:

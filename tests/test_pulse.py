@@ -153,6 +153,12 @@ def test_sharp_passage_window(dev):
 
 
 def test_closed_form_phase_matches_trapezoid_oracle(dev):
+    # the oracle is Richardson's extrapolation R(N) = T(2N) + (T(2N) - T(N)) / 3
+    # of the per-segment trapezoid T(N). Its own convergence |R(N) - R(2N)|
+    # must be at least as tight as the error of a 1e7-step trapezoid: the h^2
+    # term scaled down from T(N) - T(2N), plus the rounding bound of the
+    # pairwise sum of its positive terms
+    steps, fine_steps = 100_000, 10_000_000
     rng = np.random.default_rng(20240917)
     for _ in range(5):
         ramp = float(rng.uniform(0.05, 2.0))
@@ -161,7 +167,13 @@ def test_closed_form_phase_matches_trapezoid_oracle(dev):
         hi = float(rng.uniform(0.5, 3.0))
         pulse = DetuningPulse(ramp_ns=ramp, hold_ns=hold, eps_low_mev=lo, eps_high_mev=hi)
         closed_form = accumulated_phase(pulse, dev)
-        oracle = trapezoid_phase(ramp, hold, ramp, lo, hi, dev, steps=10_000_000)
+        t1, t2, t4 = (
+            trapezoid_phase(ramp, hold, ramp, lo, hi, dev, steps=m * steps) for m in (1, 2, 4)
+        )
+        coarse, oracle = t2 + (t2 - t1) / 3.0, t4 + (t4 - t2) / 3.0
+        fine_error = abs(t1 - t2) * 4.0 / 3.0 * (steps / fine_steps) ** 2
+        fine_error += math.log2(fine_steps) * np.finfo(float).eps * abs(t4)
+        assert abs(coarse - oracle) <= fine_error
         assert closed_form == pytest.approx(oracle, rel=1e-6)
 
 
