@@ -247,6 +247,8 @@ def exp_contract_bonds(bond_columns, batch_shape, prefixes) -> list:
     bond_columns yields the phases of bond 0, 1, ... as arrays of
     batch_shape, so no batch x bonds buffer is needed; only as many bonds
     as the longest prefix are read. Prefixes must already be validated.
+    Both partial sums are halved every bond, five array passes a bond, the
+    form the package's contraction had before it carried unscaled sums.
     """
     wanted = set(prefixes)
     last = max(wanted, default=0)
