@@ -33,7 +33,8 @@ Two estimators of the mean fidelity, kept deliberately independent:
   is formed, after an exact power-of-two scaling, only for the rows some
   point reads at that bond. The per-trial fidelities of every distinct
   point are rows of one (distinct points) x trials x 8 B table, filled
-  chunk by chunk and reduced by one np.mean and one np.std along its rows.
+  chunk by chunk and reduced by one np.mean and by np.std a block of
+  REDUCE_ELEMENTS at a time along its rows.
   Each trial's value is independent of the trial count, the chunk size
   (whatever CHUNK_ELEMENTS is) and the rest of the grid;
 - exact_mean_fidelities integrates the Gaussian analytically, for a whole
@@ -68,6 +69,10 @@ from .state import MAX_QUBITS, _bond_factor, _contract_bonds
 # gave some one-element batches other bits, depending on their alignment.
 # The budget only bounds memory.
 CHUNK_ELEMENTS = 8192
+# np.std holds a temporary as large as the rows it reduces, so the per-trial
+# table is reduced a block of at most REDUCE_ELEMENTS (1 MiB) or one row at a
+# time; a whole-table call doubled the peak memory of a 2e5-trial figure3 grid.
+REDUCE_ELEMENTS = 2**17
 
 
 @dataclass(frozen=True)
@@ -176,9 +181,9 @@ def monte_carlo_fidelities(points, trials: int, seed: int) -> list[FidelityEstim
     trials 0 .. trials - 1 of the seed, so all points share their trials
     (and are correlated). Each trial is drawn once for the whole grid, up to
     its longest chain, and contracted once per distinct nonzero sigma. The
-    per-trial table of the distinct points is reduced by one np.mean and one
-    np.std along its trial axis, which give each row the bits of a call on
-    that row alone.
+    per-trial table of the distinct points is reduced along its trial axis
+    by one np.mean and by np.std, one call per block of REDUCE_ELEMENTS; both
+    give each row the bits of a call on that row alone.
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
@@ -186,7 +191,10 @@ def monte_carlo_fidelities(points, trials: int, seed: int) -> list[FidelityEstim
     keys = list(dict.fromkeys((n_qubits, model.sigma_rad) for n_qubits, model in points))
     table = _trial_table(keys, trials, seed)
     means = np.mean(table, axis=1)
-    stderrs = np.std(table, axis=1, ddof=1) / math.sqrt(trials)
+    stderrs = np.empty(len(keys))
+    rows = max(1, REDUCE_ELEMENTS // trials)
+    for i in range(0, len(keys), rows):
+        stderrs[i : i + rows] = np.std(table[i : i + rows], axis=1, ddof=1) / math.sqrt(trials)
     estimates = {
         # min: guard against rounding just past 1 in the sigma = 0 case
         key: FidelityEstimate(min(float(mean), 1.0), float(stderr), trials, seed)

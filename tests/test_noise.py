@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,6 +241,22 @@ def test_grid_draws_stay_within_element_budget(monkeypatch):
     assert _chunk_trials(40, 23) == CHUNK_ELEMENTS // 40
     assert _chunk_trials(1, 23) == CHUNK_ELEMENTS // 23
     assert _chunk_trials(3, 10**5) == 1
+
+
+def test_grid_reduction_holds_one_table():
+    # the per-trial table is reduced a block of rows at a time; np.std over
+    # the whole table would hold a second table-sized temporary
+    points = [(n, PhaseNoiseModel(SIGMA)) for n in range(2, 21)]
+    points += [(20, PhaseNoiseModel(0.01 * k * math.pi)) for k in range(11)]
+    trials = 20_000
+    table_bytes = len(points) * trials * 8
+    tracemalloc.start()
+    try:
+        monte_carlo_fidelities(points, trials, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table_bytes <= peak < 1.5 * table_bytes
 
 
 @pytest.mark.parametrize("budget", [2**15, 2**17])
