@@ -116,9 +116,9 @@ def run_figure3(cfg: ExperimentConfig, out_dir) -> dict[str, Path]:
     correlated, as they always were; the noise module docstring gives the
     stream layout and the chunking that bounds memory. Each trial is drawn
     once for the whole grid, and the per-trial fidelities of the distinct
-    points, at most (19 + len(sigma_over_pi)) x trials x 8 B, are one table
-    reduced along its rows at once. Rows follow the config order; a
-    repeated sigma repeats its row.
+    points, at most (19 + len(sigma_over_pi)) x trials x 8 B, are one table,
+    reduced a block of rows at a time so that no second table is held. Rows
+    follow the config order; a repeated sigma repeats its row.
     """
     out = _ensure_out(out_dir)
     grid = [(n, FIGURE3_N_SWEEP_SIGMA_OVER_PI) for n in FIGURE3_N_RANGE]

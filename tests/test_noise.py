@@ -249,7 +249,7 @@ def test_grid_reduction_holds_one_table():
     points = [(n, PhaseNoiseModel(SIGMA)) for n in range(2, 21)]
     points += [(20, PhaseNoiseModel(0.01 * k * math.pi)) for k in range(11)]
     trials = 20_000
-    table_bytes = len(points) * trials * 8
+    table_bytes = len({(n, model.sigma_rad) for n, model in points}) * trials * 8
     tracemalloc.start()
     try:
         monte_carlo_fidelities(points, trials, seed=3)
