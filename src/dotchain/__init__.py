@@ -8,7 +8,6 @@ from .measurement import (
     MeasurementRecord,
     MeasurementSpec,
     RoundSchedule,
-    measure,
     project,
     run_schedule,
     schedule_rounds,
@@ -81,7 +80,6 @@ __all__ = [
     "ising_coupling",
     "local_phase",
     "local_phase_sensitivity",
-    "measure",
     "monte_carlo_fidelities",
     "monte_carlo_fidelity",
     "next_nearest_crosstalk_ratio",

@@ -18,6 +18,11 @@ MeasurementSpec and the projector for every measurement, the mean fidelity
 contraction that divides by 4^n at the end, and the bond contraction, the
 dense Ising evolution and the closed-form stabilizers that take every bond
 factor from np.exp.
+
+spec_loop_measure is the single-shot reference for stream-t sampling: one
+measurement drawn from stream t of a seed. The package has no single-shot
+sampler; run_schedule gives measurement t of a schedule stream t, and the
+tests compare its records with this loop's.
 """
 
 from __future__ import annotations

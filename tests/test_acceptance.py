@@ -14,10 +14,10 @@ from dotchain import (
     apply_ising_phases,
     exact_mean_fidelity,
     ising_coupling,
-    measure,
     monte_carlo_fidelity,
     next_nearest_crosstalk_ratio,
     project,
+    run_schedule,
     schedule_rounds,
     singlet_admixture,
     solve_hold_time,
@@ -166,7 +166,7 @@ def test_criterion_8_measurement_semantics():
         prob, post = project(state, spec, outcome)
         assert prob == pytest.approx(0.5, abs=1e-12)
         assert np.max(np.abs(post.amplitudes - target)) <= 1e-10
-    sampled, _ = measure(state, spec, seed=1)
+    (sampled,) = run_schedule(state, schedule_rounds([1]), {1: Z_AXIS}, seed=1)
     assert sampled.outcome in (-1, +1)
 
     sched_rng = np.random.default_rng(42)

@@ -14,7 +14,6 @@ from dotchain import (
     MeasurementSpec,
     RoundSchedule,
     init_plus_chain,
-    measure,
     project,
     run_schedule,
     schedule_rounds,
@@ -48,6 +47,22 @@ def ket(*amps):
     return ChainState(n, vec / np.linalg.norm(vec))
 
 
+def measure_once(state, spec, seed):
+    # the record of a one-qubit schedule, which draws stream 0, and the
+    # post-state project gives for its outcome
+    (record,) = run_schedule(state, schedule_rounds([spec.qubit]), {spec.qubit: spec.basis}, seed)
+    return record, project(state, spec, record.outcome)[1]
+
+
+def draw_stream(monkeypatch, stream):
+    # measurement t of a schedule then draws stream t + stream of its seed
+    monkeypatch.setattr(
+        measurement,
+        "uniforms",
+        lambda seed, domain, first, count: uniforms(seed, domain, first + stream, count),
+    )
+
+
 def test_spec_validation():
     MeasurementSpec(qubit=0, basis=Z_AXIS)
     with pytest.raises(ValueError):
@@ -71,6 +86,8 @@ def test_record_validation():
     assert repr(record) == "MeasurementRecord(qubit=0, outcome=1, probability=0.5)"
     with pytest.raises(ValueError):
         MeasurementRecord(qubit=0, outcome=1, probability=math.nan)
+    with pytest.raises(ValueError, match=">= 0"):
+        MeasurementRecord(qubit=-1, outcome=1, probability=0.5)
 
 
 def _assert_qubit_index_refused(monkeypatch, qubit):
@@ -147,20 +164,20 @@ def test_numpy_integer_outcome_becomes_int():
 
 def test_z_measurement_of_singlet_state():
     # |0> is the singlet: the charge moves, outcome -1, with certainty
-    record, post = measure(ket(1, 0), MeasurementSpec(0, Z_AXIS), seed=0)
+    record, post = measure_once(ket(1, 0), MeasurementSpec(0, Z_AXIS), seed=0)
     assert record.outcome == -1
     assert record.probability == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(post.amplitudes, [1, 0])
 
 
 def test_z_measurement_of_triplet_state():
-    record, _ = measure(ket(0, 1), MeasurementSpec(0, Z_AXIS), seed=0)
+    record, _ = measure_once(ket(0, 1), MeasurementSpec(0, Z_AXIS), seed=0)
     assert record.outcome == +1
     assert record.probability == pytest.approx(1.0, abs=1e-12)
 
 
 def test_x_measurement_of_plus_state():
-    record, _ = measure(ket(1, 1), MeasurementSpec(0, X_AXIS), seed=0)
+    record, _ = measure_once(ket(1, 1), MeasurementSpec(0, X_AXIS), seed=0)
     assert record.outcome == +1
     assert record.probability == pytest.approx(1.0, abs=1e-12)
 
@@ -168,20 +185,21 @@ def test_x_measurement_of_plus_state():
 def test_measure_rejects_bad_input():
     state = ket(1, 0)
     with pytest.raises(ValueError):
-        measure(state, MeasurementSpec(qubit=1, basis=Z_AXIS), seed=0)
+        measure_once(state, MeasurementSpec(qubit=1, basis=Z_AXIS), seed=0)
     denormalized = ket(1, 0)
     denormalized.amplitudes = denormalized.amplitudes * 0.5
     with pytest.raises(ValueError):
-        measure(denormalized, MeasurementSpec(0, Z_AXIS), seed=0)
+        measure_once(denormalized, MeasurementSpec(0, Z_AXIS), seed=0)
     with pytest.raises(ValueError):
         project(state, MeasurementSpec(0, Z_AXIS), outcome=0)
 
 
-def test_measure_deterministic_per_seed():
+def test_measure_deterministic_per_seed(monkeypatch):
     state = ideal_cluster(3)
     spec = MeasurementSpec(1, X_AXIS)
-    a, a_post = measure(state, spec, seed=5, stream=2)
-    b, b_post = measure(state, spec, seed=5, stream=2)
+    draw_stream(monkeypatch, 2)
+    a, a_post = measure_once(state, spec, seed=5)
+    b, b_post = measure_once(state, spec, seed=5)
     assert a.outcome == b.outcome and a.probability == b.probability
     assert np.array_equal(a_post.amplitudes, b_post.amplitudes)
 
@@ -208,14 +226,14 @@ def test_remeasurement_idempotent():
         n = int(rng.integers(1, 4))
         state = random_state(n, rng)
         spec = MeasurementSpec(int(rng.integers(0, n)), _random_axis(rng))
-        record, post_state = measure(state, spec, seed=int(rng.integers(0, 1000)))
+        record, post_state = measure_once(state, spec, seed=int(rng.integers(0, 1000)))
         p_same, post = project(post_state, spec, record.outcome)
         assert p_same == pytest.approx(1.0, abs=1e-10)
-        repeat, _ = measure(post_state, spec, seed=999)
+        repeat, _ = measure_once(post_state, spec, seed=999)
         assert repeat.outcome == record.outcome
 
 
-def test_unlikely_minus_outcome_keeps_precision():
+def test_unlikely_minus_outcome_keeps_precision(monkeypatch):
     # p- comes from the norm of psi - P+ psi, not from 1 - p+, so it stays
     # accurate to the last digits when p+ is within 1e-6 of 1
     u = uniforms(0, MEASUREMENT, 0, 10**6)[:, 0]
@@ -223,7 +241,8 @@ def test_unlikely_minus_outcome_keeps_precision():
     p_minus = 2.0 * (1.0 - u[stream])
     angle = math.asin(math.sqrt(p_minus))
     state = ket(math.sin(angle), math.cos(angle))
-    record, post = measure(state, MeasurementSpec(0, Z_AXIS), seed=0, stream=stream)
+    draw_stream(monkeypatch, stream)
+    record, post = measure_once(state, MeasurementSpec(0, Z_AXIS), seed=0)
     assert record.outcome == -1
     assert record.probability == pytest.approx(math.sin(angle) ** 2, rel=1e-13)
     assert np.allclose(post.amplitudes, [1, 0], atol=1e-12)
@@ -240,7 +259,7 @@ def test_outcome_of_probability_zero_is_never_sampled(monkeypatch):
         return np.full((n_streams, 4), largest)
 
     monkeypatch.setattr(measurement, "uniforms", top_uniforms)
-    record, post = measure(state, MeasurementSpec(0, Z_AXIS), seed=0)
+    record, post = measure_once(state, MeasurementSpec(0, Z_AXIS), seed=0)
     schedule = schedule_rounds([0, 1])
     first = run_schedule(state, schedule, {0: Z_AXIS, 1: Z_AXIS}, seed=0)[0]
     for got in (record, first):
@@ -360,7 +379,7 @@ def test_run_schedule_equals_measure_loop():
         current, stream = state, 0
         for rnd in schedule.rounds:
             for q in sorted(rnd):
-                expected, post = measure(current, MeasurementSpec(q, bases[q]), seed, stream=stream)
+                expected, post = spec_loop_measure(current, MeasurementSpec(q, bases[q]), seed, stream)
                 record = records[stream]
                 assert (record.qubit, record.outcome) == (q, expected.outcome)
                 assert record.probability == expected.probability
@@ -370,10 +389,6 @@ def test_run_schedule_equals_measure_loop():
 
 def _record_bytes(record):
     return record.qubit, record.outcome, repr(record.probability)
-
-
-def _state_bytes(state):
-    return None if state is None else state.amplitudes.tobytes()
 
 
 # Axes as a caller may pass them: named tuples, random unit axes, int-valued
@@ -411,7 +426,7 @@ def _axis_of_kind(kind, rng):
     data=st.data(),
 )
 def test_measurement_bytes_match_spec_loop_oracle(n, seed, cluster, kinds, data):
-    # the projector table, the up-front axis check and the shared sampler
+    # the named-axis table, the up-front axis check and the one sampler
     # change no byte of any record, probability or post-state
     rng = np.random.default_rng(seed % 2**32)
     state = ideal_cluster(n) if cluster else random_state(n, rng)
@@ -425,12 +440,11 @@ def test_measurement_bytes_match_spec_loop_oracle(n, seed, cluster, kinds, data)
     assert [_record_bytes(r) for r in records] == [_record_bytes(r) for r in expected]
     for stream, q in enumerate(schedule.qubits):
         spec = MeasurementSpec(q, tuple(bases[q]))
-        (got, got_post), (want, want_post) = (
-            measure(state, spec, seed, stream),
-            spec_loop_measure(state, spec, seed, stream),
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            draw_stream(patch, stream)
+            (got,) = run_schedule(state, schedule_rounds([q]), {q: bases[q]}, seed)
+        want, _ = spec_loop_measure(state, spec, seed, stream)
         assert _record_bytes(got) == _record_bytes(want)
-        assert _state_bytes(got_post) == _state_bytes(want_post)
         for outcome in (-1, +1):
             (p, post), (p_want, post_want) = (
                 project(state, spec, outcome),
@@ -487,8 +501,9 @@ def test_kernel_matches_broadcast_oracle_bit_for_bit(n, seed, kind, zeros):
     for q in range(n):
         spec = MeasurementSpec(q, axis)
         for outcome in (-1, +1):
-            projector = measurement._projector(spec.basis, outcome)
-            got = measurement._apply_on_qubit(state.amplitudes, projector, q, n)
+            projector = measurement._build_projector(spec.basis, outcome)
+            got = measurement._project_raw(state.amplitudes, projector, q, n)
+            got += 0.0
             assert got.tobytes() == projected_branch(state, spec, outcome).tobytes()
     assert state.amplitudes.tobytes() == before
 
@@ -501,7 +516,7 @@ def _array_bytes(snapshot) -> int:
 
 
 def test_measurement_calls_leave_nothing_allocated():
-    # after run_schedule, measure and project return and their results are
+    # after run_schedule and project return and their results are
     # dropped, no array buffer of theirs is left behind: no cache or table
     # grows with the number of calls. (Python's own free lists keep some
     # small objects, so only array buffers are counted.)
@@ -516,7 +531,7 @@ def test_measurement_calls_leave_nothing_allocated():
         for seed in seeds:
             run_schedule(state, schedule, bases, seed)
             for spec in specs:
-                measure(state, spec, seed)
+                measure_once(state, spec, seed)
                 project(state, spec, -1)
 
     calls(range(1))  # the rng's generator is set up once
@@ -680,7 +695,7 @@ def test_iterator_axis_is_read_once():
     axis = (0.6, 0.8, 0.0)
     assert MeasurementSpec(0, iter(axis)).basis == axis
     (record,) = run_schedule(state, schedule_rounds([0]), {0: iter(axis)}, 0)
-    expected, _ = measure(state, MeasurementSpec(0, axis), 0)
+    expected, _ = spec_loop_measure(state, MeasurementSpec(0, axis), 0)
     assert record == expected
     assert record.probability == pytest.approx(0.2, abs=1e-12)
 
@@ -755,7 +770,7 @@ def test_measurement_refuses_nan_amplitudes():
     with pytest.raises(ValueError, match="normalized"):
         run_schedule(state, schedule_rounds(range(3)), {q: Z_AXIS for q in range(3)}, seed=0)
     with pytest.raises(ValueError, match="normalized"):
-        measure(state, spec, seed=0)
+        measure_once(state, spec, seed=0)
     with pytest.raises(ValueError, match="normalized"):
         project(state, spec, +1)
 
