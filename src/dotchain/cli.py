@@ -13,7 +13,7 @@ import click
 
 from .config import config_from_strings, load_config_file
 from .harness import run_figure2, run_figure3, run_measure_demo, run_prepare
-from .pulse import local_phase, local_phase_sensitivity
+from .pulse import DetuningPulse, local_phase, local_phase_sensitivity
 
 _common = [
     # note: no exists=True — a missing file must exit 1 (validation failure),
@@ -34,9 +34,9 @@ def _with_common(func):
 
 
 def _prepare_with_local_phase(cfg, out_dir):
-    """run_prepare's report, the local phase of its pulse and dTheta/deps."""
+    """run_prepare's report, and the local phase and dTheta/deps of the pulse it calibrated."""
     report = run_prepare(cfg, out_dir)
-    pulse = cfg.build_pulse()
+    pulse = DetuningPulse(report.ramp_ns, report.hold_ns, *cfg.resolved_eps())
     return report, local_phase(pulse, cfg.device), local_phase_sensitivity(pulse, cfg.device)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -62,9 +62,7 @@ def write_manifest(out_dir: Path, command: str, cfg: ExperimentConfig) -> Path:
         "config_text": canonical_text(cfg),
     }
     path = out_dir / "run_manifest.json"
-    with open(path, "w", newline="") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", newline="")
     return path
 
 
@@ -188,9 +186,8 @@ def run_prepare(cfg: ExperimentConfig, out_dir) -> PrepareReport:
         ["site", "expectation"],
         list(enumerate(stabs)),
     )
-    with open(out / "prepare_report.json", "w", newline="") as fh:
-        json.dump(asdict(report), fh, indent=2)
-        fh.write("\n")
+    report_text = json.dumps(vars(report), indent=2)  # fields in declaration order
+    (out / "prepare_report.json").write_text(report_text + "\n", newline="")
     write_manifest(out, "prepare", cfg)
     return report
 
@@ -207,12 +204,8 @@ def run_measure_demo(cfg: ExperimentConfig, out_dir) -> dict[str, Path]:
     axis = NAMED_AXES[cfg.measure_axis]
     bases = {q: axis for q in schedule.qubits}
     records = run_schedule(state, schedule, bases, cfg.seed)
-
-    round_of = {}
-    for round_index, rnd in enumerate(schedule.rounds):
-        for q in rnd:
-            round_of[q] = round_index
-
+    schedule_rows = [(r, q) for r, rnd in enumerate(schedule.rounds) for q in rnd]
+    round_of = {q: r for r, q in schedule_rows}
     record_rows = [
         (round_of[r.qubit], r.qubit, axis[0], axis[1], axis[2], r.outcome, r.probability)
         for r in records
@@ -223,11 +216,6 @@ def run_measure_demo(cfg: ExperimentConfig, out_dir) -> dict[str, Path]:
         ["round", "qubit", "axis_x", "axis_y", "axis_z", "outcome", "probability"],
         record_rows,
     )
-    schedule_rows = [
-        (round_index, q)
-        for round_index, rnd in enumerate(schedule.rounds)
-        for q in rnd
-    ]
     path_schedule = out / "schedule.csv"
     write_csv(path_schedule, ["round", "qubit"], schedule_rows)
     manifest = write_manifest(out, "measure-demo", cfg)

@@ -104,16 +104,16 @@ def detuning_window(
     return lo, hi
 
 
-def _ramp_coupling_integral_mev2(pulse: DetuningPulse, dev: DeviceParams) -> float:
-    """Integral of the Ising coupling over detuning, across [eps_low, eps_high].
+def _trapezoid_integral(pulse: DetuningPulse, q_high: float, ramp_integral: float) -> float:
+    """(1/hbar) * integral of q(eps(t)) dt over the pulse, for q with closed-form integrals.
 
-    Units meV^2 (meV integrated over meV): J_max * [F(eps_high) - F(eps_low)]
-    with F = (eps + d) / 2. A linear ramp of duration T contributes
-    T * integral / (eps_high - eps_low) to the time integral.
+    q_high is q(eps_high), held for hold_ns; ramp_integral is the integral
+    of q over [eps_low, eps_high], and each linear ramp contributes
+    ramp_ns * ramp_integral / (eps_high - eps_low).
     """
-    tc = dev.tunnel_coupling_mev
-    span = _eps_plus_d(pulse.eps_high_mev, tc) - _eps_plus_d(pulse.eps_low_mev, tc)
-    return ising_coupling(dev, HALF_PI) * span / 2.0
+    ramps_mev_ns = (pulse.ramp_ns + pulse.ramp_ns) * ramp_integral
+    span = pulse.eps_high_mev - pulse.eps_low_mev
+    return (pulse.hold_ns * q_high + ramps_mev_ns / span) / HBAR_MEV_NS
 
 
 def plateau_coupling(pulse: DetuningPulse, dev: DeviceParams) -> float:
@@ -125,11 +125,14 @@ def accumulated_phase(pulse: DetuningPulse, dev: DeviceParams) -> float:
     """Conditional phase (radians) a nearest-neighbor bond acquires over the pulse.
 
     (1/hbar) * integral of ising_coupling(adiabatic_angle(eps(t))) dt, in
-    closed form on the hold plateau and on both ramps.
+    closed form on the hold plateau and on both ramps: over the detuning
+    the coupling integrates to J_max * [F(eps_high) - F(eps_low)] meV^2,
+    with F = (eps + d) / 2.
     """
-    hold_mev_ns = pulse.hold_ns * plateau_coupling(pulse, dev)
-    ramp_mev2_ns = (pulse.ramp_ns + pulse.ramp_ns) * _ramp_coupling_integral_mev2(pulse, dev)
-    return (hold_mev_ns + ramp_mev2_ns / (pulse.eps_high_mev - pulse.eps_low_mev)) / HBAR_MEV_NS
+    tc = dev.tunnel_coupling_mev
+    span = _eps_plus_d(pulse.eps_high_mev, tc) - _eps_plus_d(pulse.eps_low_mev, tc)
+    ramp_mev2 = ising_coupling(dev, HALF_PI) * span / 2.0
+    return _trapezoid_integral(pulse, plateau_coupling(pulse, dev), ramp_mev2)
 
 
 def _local_phase_antiderivative(eps_mev: float, tc: float) -> float:
@@ -154,8 +157,7 @@ def local_phase(pulse: DetuningPulse, dev: DeviceParams) -> float:
     tc = dev.tunnel_coupling_mev
     lo, hi = pulse.eps_low_mev, pulse.eps_high_mev
     ramp = _local_phase_antiderivative(hi, tc) - _local_phase_antiderivative(lo, tc)
-    hold_mev_ns = pulse.hold_ns * _eps_plus_d(hi, tc) / 2.0
-    return (hold_mev_ns + (pulse.ramp_ns + pulse.ramp_ns) * ramp / (hi - lo)) / HBAR_MEV_NS
+    return _trapezoid_integral(pulse, _eps_plus_d(hi, tc) / 2.0, ramp)
 
 
 def local_phase_sensitivity(pulse: DetuningPulse, dev: DeviceParams) -> float:
@@ -168,8 +170,7 @@ def local_phase_sensitivity(pulse: DetuningPulse, dev: DeviceParams) -> float:
     tc = dev.tunnel_coupling_mev
     lo, hi = pulse.eps_low_mev, pulse.eps_high_mev
     ramp = (_eps_plus_d(hi, tc) - _eps_plus_d(lo, tc)) / 2.0
-    hold_ns = pulse.hold_ns * singlet_admixture(adiabatic_angle(hi, tc))
-    return (hold_ns + (pulse.ramp_ns + pulse.ramp_ns) * ramp / (hi - lo)) / HBAR_MEV_NS
+    return _trapezoid_integral(pulse, singlet_admixture(adiabatic_angle(hi, tc)), ramp)
 
 
 def solve_hold_time(

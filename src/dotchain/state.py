@@ -9,8 +9,9 @@ return new states and preserve the norm.
 Capped at 24 qubits. The dense engine serves measurement only. A chain
 prepared by Ising phases needs none of it: ideal_cluster_fidelity and
 cluster_stabilizers verify it in O(n) from its bond phases, which is how
-the prepare command checks its chain and figure3 scores its noisy trials;
-the dense verifiers are test oracles in tests/oracles.py. The O(n)
+the prepare command checks its chain; figure3 scores its noisy trials
+through _contract_bonds, the contraction under ideal_cluster_fidelity. The
+dense verifiers are test oracles in tests/oracles.py. The O(n)
 contraction carries unscaled partial sums and scales them by an exact
 power of two every RESCALE_BONDS bonds, so it has no qubit cap of its own.
 Every bond factor exp(i * phi), dense or O(n), comes from _bond_factor. The
@@ -89,55 +90,30 @@ def ideal_cluster_fidelity(bond_phases) -> np.ndarray | float:
 
     The overlap of the two diagonal preparations collapses to
     2^-n * sum_z exp(i * sum_b (phi_b - pi) z_b z_{b+1}), which factorizes
-    along the chain; it is evaluated by a left-to-right contraction in O(n)
-    instead of materializing 2^n amplitudes. Accepts a batch in the leading
-    dimensions: shape (..., n_bonds) returns shape (...,). With no bonds the
-    chain is one qubit, already the ideal cluster: fidelity 1.
+    along the chain; _contract_bonds evaluates it in O(n) instead of
+    materializing 2^n amplitudes, and the fidelity is |sums * scale|^2 of
+    its last read. Accepts a batch in the leading dimensions: shape
+    (..., n_bonds) returns shape (...,); a 1-d input is contracted as a
+    one-row batch and returned as a float, with the bits it gets as a row of
+    any batch. With no bonds the chain is one qubit, already the ideal
+    cluster: fidelity 1. Non-finite phases are refused, as in
+    apply_ising_phases and cluster_stabilizers.
 
     Matches the dense overlap of the ideal cluster with
     apply_ising_phases(plus, phases) to machine precision; that dense route,
     in tests/oracles.py, is the test oracle for this one.
     """
     phases = np.asarray(bond_phases, dtype=float)
-    (fidelity,) = prefix_cluster_fidelities(phases, phases.shape[-1:])
-    return fidelity
-
-
-def prefix_cluster_fidelities(bond_phases, prefixes) -> list:
-    """Fidelity to the ideal cluster of each prefix chain of the given bonds.
-
-    Prefix k keeps the first k bonds, a chain of k + 1 qubits, so one
-    left-to-right contraction up to the longest prefix yields every shorter
-    chain on the way; the result lists one ideal_cluster_fidelity value per
-    entry of prefixes, in order. The overlap 2^-n * sum_z(...) of a prefix
-    read is its partial sum times an exact power of two, as _contract_bonds
-    yields them; scaling by a power of two is exact, so the values equal
-    the unscaled sum divided by 2^n, and the sums never overflow. The bond
-    factors of the bonds read are formed at once, and the loop takes one
-    bond at a time; the Monte Carlo estimator feeds it per-bond factors
-    directly. A 1-d input is contracted as a one-row batch and returned as
-    floats, the bits the same vector gets as a row of any batch. Non-finite
-    phases are refused, as apply_ising_phases and cluster_stabilizers
-    refuse them.
-    """
-    phases = np.asarray(bond_phases, dtype=float)
     if phases.ndim == 0:
         raise ValueError("bond phases must have a bond axis")
     if not np.isfinite(phases).all():
         raise ValueError("bond phases must be finite")
-    prefixes = list(prefixes)
-    if any(not 0 <= k <= phases.shape[-1] for k in prefixes):
-        raise ValueError(f"prefixes must lie in [0, {phases.shape[-1]}], got {prefixes}")
     rows = np.atleast_2d(phases)
-    last = max(prefixes, default=0)
-    read = np.moveaxis(rows[..., :last], -1, 0)
-    sums = _contract_bonds(_bond_factor(read - math.pi), rows.shape[:-1], last)
-    wanted = set(prefixes)
-    by_prefix = {
-        b: np.abs(total * scale) ** 2 for b, (total, scale) in enumerate(sums) if b in wanted
-    }
-    fidelities = [by_prefix[k] for k in prefixes]
-    return [float(f[0]) for f in fidelities] if phases.ndim == 1 else fidelities
+    factors = _bond_factor(np.moveaxis(rows, -1, 0) - math.pi)
+    for sums, scale in _contract_bonds(factors, rows.shape[:-1], rows.shape[-1]):
+        pass  # only the whole chain is read
+    fidelity = np.abs(sums * scale) ** 2
+    return float(fidelity[0]) if phases.ndim == 1 else fidelity
 
 
 def _bond_factor(delta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

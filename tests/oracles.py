@@ -247,7 +247,10 @@ def unscaled_mean_fidelity(n_qubits: int, sigma_rad: float) -> float:
 
 
 def exp_contract_bonds(bond_columns, batch_shape, prefixes) -> list:
-    """prefix_cluster_fidelities over bond phases handed over one bond at a time.
+    """Fidelity of each prefix chain, as state._contract_bonds' prefix reads give it.
+
+    Prefix k keeps the first k bonds; its value is ideal_cluster_fidelity of
+    those bonds, the read at bond k of one left-to-right contraction.
 
     bond_columns yields the phases of bond 0, 1, ... as arrays of
     batch_shape, so no batch x bonds buffer is needed; only as many bonds

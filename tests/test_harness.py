@@ -1,4 +1,6 @@
+import collections
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -11,6 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import dotchain
+import dotchain.config
 from dotchain import (
     accumulated_phase,
     apply_ising_phases,
@@ -161,6 +164,38 @@ def test_prepare_defaults(tmp_path):
     assert len(rows) == 10
 
 
+def dump_json_as_before(value, path, **kwargs) -> bytes:
+    """The serializer the JSON outputs were first written with, as the oracle of their bytes."""
+    with open(path, "w", newline="") as fh:
+        json.dump(value, fh, indent=2, **kwargs)
+        fh.write("\n")
+    return path.read_bytes()
+
+
+def test_json_outputs_keep_the_bytes_of_their_first_serializer(tmp_path):
+    # the report in field order without sort_keys, the manifest sorted;
+    # the default device and three seeded ones, at both ends of the chain lengths
+    for seed in (None, 41, 42, 43):
+        device = {}
+        if seed is not None:
+            rng = np.random.default_rng(seed)
+            device = {
+                "intradot_spacing_nm": rng.uniform(150.0, 250.0),
+                "intermolecule_spacing_nm": rng.uniform(1500.0, 2500.0),
+                "relative_permittivity": rng.uniform(11.0, 14.0),
+                "tunnel_coupling_mev": rng.uniform(0.008, 0.012),
+            }
+        for n in (1, 2, 22, 24):
+            out = tmp_path / f"{seed}-{n}"
+            report = run_prepare(cfg_with(n_qubits=n, **device), out)
+            assert report.passed
+            want = dump_json_as_before(dataclasses.asdict(report), tmp_path / "report.json")
+            assert (out / "prepare_report.json").read_bytes() == want
+            written = (out / "run_manifest.json").read_bytes()
+            manifest = json.loads(written)
+            assert written == dump_json_as_before(manifest, tmp_path / "manifest.json", sort_keys=True)
+
+
 def test_prepare_single_qubit(tmp_path):
     report = run_prepare(cfg_with(n_qubits=1), tmp_path)
     assert report.fidelity_to_ideal == pytest.approx(1.0, abs=1e-12)
@@ -293,6 +328,22 @@ def test_cli_prepare_prints_local_phase(tmp_path):
     run_prepare(config_from_strings({}), tmp_path / "lib")
     for name in ("prepare_report.json", "stabilizers.csv", "run_manifest.json"):
         assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+
+
+def test_cli_prepare_calibrates_once(tmp_path, monkeypatch):
+    # the local-phase line reuses run_prepare's pulse instead of building another
+    calls = collections.Counter()
+    for name in ("solve_hold_time", "check_adiabaticity"):
+        original = getattr(dotchain.config, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(dotchain.config, name, counted)
+    result = CliRunner().invoke(main, ["prepare", "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    assert calls == {"solve_hold_time": 1, "check_adiabaticity": 1}
 
 
 def test_cli_prepare_exit_codes(tmp_path, dev):

@@ -13,7 +13,6 @@ from dotchain import (
     ideal_cluster_fidelity,
     init_plus_chain,
 )
-from dotchain.state import prefix_cluster_fidelities
 
 from conftest import random_state
 from oracles import (
@@ -248,6 +247,8 @@ def test_fast_cluster_fidelity_batched():
     assert values.shape == (7,)
     for row, value in zip(batch, values):
         assert ideal_cluster_fidelity(row) == value
+    with pytest.raises(ValueError, match="bond axis"):
+        ideal_cluster_fidelity(math.pi)  # a scalar has no bond axis
 
 
 def test_cluster_fidelity_does_not_overflow():
@@ -258,22 +259,6 @@ def test_cluster_fidelity_does_not_overflow():
     assert math.isfinite(value) and 0.0 < value <= 1.0
     rows = ideal_cluster_fidelity(np.stack([phases, phases[::-1]]))
     assert np.all(np.isfinite(rows)) and np.all((0.0 < rows) & (rows <= 1.0))
-
-
-def test_prefix_fidelities_equal_truncated_chains():
-    rng = np.random.default_rng(34)
-    batch = math.pi + rng.normal(0.0, 0.3, size=(3, 5, 9))
-    prefixes = [9, 0, 4, 4, 1]
-    for k, values in zip(prefixes, prefix_cluster_fidelities(batch, prefixes)):
-        assert values.shape == (3, 5)
-        assert np.array_equal(values, ideal_cluster_fidelity(batch[..., :k]))
-    vector = batch[0, 0]
-    for k, value in zip(prefixes, prefix_cluster_fidelities(vector, prefixes)):
-        assert value == ideal_cluster_fidelity(vector[:k])
-    with pytest.raises(ValueError):
-        prefix_cluster_fidelities(vector, [10])
-    with pytest.raises(ValueError):
-        prefix_cluster_fidelities(math.pi, [0])
 
 
 def _bits(values) -> bytes:
@@ -306,7 +291,7 @@ def test_contraction_matches_exp_oracle_bit_for_bit(batch, bonds, exponents, pre
     (want,) = exp_contract_bonds(columns, rows, [bonds])
     assert _bits(ideal_cluster_fidelity(phases)) == _bits(want)
     prefixes = [k for k in prefixes if k <= bonds]
-    got = prefix_cluster_fidelities(phases, prefixes)
+    got = [ideal_cluster_fidelity(phases[..., :k]) for k in prefixes]
     assert [_bits(v) for v in got] == [_bits(v) for v in exp_contract_bonds(columns, rows, prefixes)]
     if not batch:
         assert isinstance(ideal_cluster_fidelity(phases), float)
@@ -344,8 +329,6 @@ def test_cluster_fidelity_refuses_non_finite_phases():
             ideal_cluster_fidelity([bad, 1.0])
         with pytest.raises(ValueError, match="finite"):
             ideal_cluster_fidelity(np.array([[math.pi, math.pi], [math.pi, bad]]))
-        with pytest.raises(ValueError, match="finite"):
-            prefix_cluster_fidelities([math.pi, bad], [1])
 
 
 def test_chain_state_refuses_nan_amplitudes():
